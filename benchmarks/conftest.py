@@ -27,7 +27,9 @@ from repro.experiments import MARKETING_7_COLUMNS
 def pytest_configure(config):
     config.addinivalue_line(
         "markers",
-        "smoke: fast benchmark subset (<60 s) that emits a BENCH_*.json perf record",
+        "smoke: fast benchmark subset (<60 s): the bench_*.py members (run by name) "
+        "emit BENCH_*.json perf records; benchmarks/e2e/test_e2e_smoke.py is part of "
+        "the tier-1 run",
     )
 
 #: Census rows used by the benchmark suite (full paper scale is 2.5M;

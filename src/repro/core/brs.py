@@ -36,7 +36,8 @@ serial path.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from repro.core.marginal import MarginalResult, SearchStats, find_best_marginal_rule
 from repro.core.parallel import CountingPool, resolve_pool
 from repro.core.rule import Rule, cover_mask
-from repro.core.scoring import RuleList
+from repro.core.scoring import RuleList, sort_rules_by_weight
 from repro.core.search_cache import SearchContext
 from repro.core.weights import WeightFunction
 from repro.errors import EngineError
@@ -57,19 +58,29 @@ __all__ = ["BRSResult", "brs", "brs_iter", "brs_time_limited"]
 class BRSResult:
     """Outcome of one BRS invocation.
 
-    ``rule_list`` carries the weight-sorted display order with per-rule
-    Count/MCount; ``picks`` records the greedy selection order with the
-    marginal value each rule added; ``stats`` aggregates search work
-    across all ``k`` marginal-rule searches.
+    ``picks`` records the greedy selection order with the marginal
+    value each rule added; ``stats`` aggregates search work across all
+    ``k`` marginal-rule searches.  ``rule_list`` carries the
+    weight-sorted display order with per-rule Count/MCount; it costs
+    one cover-mask pass per rule over the mined table, so it is built
+    on first access — the drill-downs, which display the *merged* rules
+    instead, never pay for it.
     """
 
-    rule_list: RuleList
     picks: tuple[MarginalResult, ...]
     stats: SearchStats
+    _table: Table = field(repr=False, compare=False)
+    _wf: WeightFunction = field(repr=False, compare=False)
+    _measures: np.ndarray | None = field(repr=False, compare=False)
+
+    @cached_property
+    def rule_list(self) -> RuleList:
+        return RuleList((p.rule for p in self.picks), self._table, self._wf, self._measures)
 
     @property
     def rules(self) -> tuple[Rule, ...]:
-        return self.rule_list.rules
+        """``rule_list.rules``, without the cover-mask passes."""
+        return tuple(sort_rules_by_weight((p.rule for p in self.picks), self._wf))
 
     @property
     def score(self) -> float:
@@ -229,9 +240,7 @@ def brs(
     picks: list[MarginalResult] = []
     stats = SearchStats()
     if k <= 0:
-        return BRSResult(
-            rule_list=RuleList((), table, wf, measures), picks=(), stats=stats
-        )
+        return BRSResult((), stats, table, wf, measures)
     for result in brs_iter(
         table,
         wf,
@@ -250,8 +259,7 @@ def brs(
         stats.merge(result.stats)
         if len(picks) >= k:
             break
-    rule_list = RuleList((p.rule for p in picks), table, wf, measures)
-    return BRSResult(rule_list=rule_list, picks=tuple(picks), stats=stats)
+    return BRSResult(tuple(picks), stats, table, wf, measures)
 
 
 def brs_time_limited(
@@ -310,5 +318,4 @@ def brs_time_limited(
             break
         if time.perf_counter() >= deadline:
             break
-    rule_list = RuleList((p.rule for p in picks), table, wf, measures)
-    return BRSResult(rule_list=rule_list, picks=tuple(picks), stats=stats)
+    return BRSResult(tuple(picks), stats, table, wf, measures)

@@ -13,7 +13,7 @@ Bit-identity is the design constraint: the greedy operator must return
 floats are not distributive — ``weight * count`` is not always the same
 float as the kernel's per-row gain accumulation.  So the cache stores
 the *actual output* of :func:`~repro.core.parallel
-.count_extensions_kernel` run at the fixed base vector ``top == 0.0``,
+.count_parent_extensions` run at the fixed base vector ``top == 0.0``,
 and consumers use it only when their own ``top`` is elementwise equal
 to that base (the cold first build; warmed searches fall back to the
 normal scan).  Accumulation order matches too: ``np.bincount`` adds
@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.marginal import _column_set_weight, _extension_weight
-from repro.core.parallel import count_extensions_kernel
+from repro.core.parallel import count_parent_extensions
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.weights import WeightFunction
@@ -205,8 +205,8 @@ def build_first_pick_cache(
     ``None`` means the combination has no fast path to cache: a
     weighting outside the scalar column-set family, or a table with no
     categorical columns.  The arrays come from the same
-    :func:`~repro.core.parallel.count_extensions_kernel` both engines'
-    cold first passes call (measures all-ones — the cache serves only
+    :func:`~repro.core.parallel.count_parent_extensions` both engines'
+    cold first passes call (unit measures — the cache serves only
     Count searches — and ``top == 0.0``), so serving them is
     bit-identical to re-running the scan.
     """
@@ -216,22 +216,22 @@ def build_first_pick_cache(
     cat_positions = tuple(table.schema.categorical_indexes)
     if not cat_positions:
         return None
-    codes = table.categorical_code_arrays()
-    measures = np.ones(table.n_rows, dtype=np.float64)
-    top = np.zeros(table.n_rows, dtype=np.float64)
-    entries = []
-    for pos, idx in enumerate(cat_positions):
-        weight = _extension_weight(fast_weight, cat_positions, (), pos)
-        n_values = table.categorical(idx).distinct_count
-        supported, counts, marginals = count_extensions_kernel(
-            codes[pos], measures, top, None, n_values, weight
-        )
-        entries.append((weight, supported, counts, marginals))
+    positions = range(len(cat_positions))
+    weights = [_extension_weight(fast_weight, cat_positions, (), pos) for pos in positions]
+    counted = count_parent_extensions(
+        table.categorical_code_arrays(),
+        positions,
+        [table.categorical(idx).distinct_count for idx in cat_positions],
+        weights,
+        None,
+        np.zeros(table.n_rows, dtype=np.float64),
+        None,
+    )
     return FirstPickCache(
         table,
         wf,
         mw,
-        entries,
+        [(weight, *result) for weight, result in zip(weights, counted)],
         pair_limit=pair_limit,
         pair_threshold=pair_threshold,
     )

@@ -46,8 +46,8 @@ it: ``cache_hits`` (marginal re-evaluations served from cached row
 sets) and ``lazy_skips`` (cached candidates a search never had to
 touch, the CELF saving).
 
-**The counting-backend seam.**  The per-(parent, column) bincount pair
-is factored into :func:`repro.core.parallel.count_extensions_kernel`,
+**The counting-backend seam.**  The per-parent bincount pairs are
+factored into :func:`repro.core.parallel.count_parent_extensions`,
 the one counting primitive shared by this module, the incremental
 engine, and the worker processes of the shared-memory counting pool
 (:mod:`repro.core.parallel`).  A :class:`_Searcher` given a
@@ -75,7 +75,8 @@ from repro.errors import RuleError
 from repro.core.parallel import (
     CountTask,
     CountingPool,
-    count_extensions_kernel,
+    count_tasks,
+    nonunit_measures,
     resolve_pool,
 )
 from repro.core.rule import Rule
@@ -109,7 +110,7 @@ def _extension_weight(
 
     One definition for both engines (and hence the counting backend's
     task construction) — the bit-identical guarantee requires the
-    weight fed to :func:`repro.core.parallel.count_extensions_kernel`
+    weight fed to :func:`repro.core.parallel.count_parent_extensions`
     to be computed identically everywhere.
     """
     columns = _key_columns(parent_key, cat_positions) + (cat_positions[pos],)
@@ -257,6 +258,9 @@ class _Searcher:
         self.measures = (
             np.ones(n, dtype=np.float64) if measures is None else measures.astype(np.float64)
         )
+        # None for unit measures (every Count search): the counting
+        # primitive then skips gathering and multiplying 1.0.
+        self._count_measures = None if measures is None else nonunit_measures(self.measures)
         self.cat_positions = table.schema.categorical_indexes
         self.codes: list[np.ndarray] = []
         self.distinct: list[int] = []
@@ -283,7 +287,7 @@ class _Searcher:
             and first_pick.matches(table, wf, self.mw)
             # Cache arrays were built with all-ones measures (Count);
             # an explicit all-ones array feeds the kernel identical inputs.
-            and (measures is None or bool((self.measures == 1.0).all()))
+            and self._count_measures is None
             and not self.top.any()
         )
         self.first_pick = first_pick if usable else None
@@ -378,32 +382,57 @@ class _Searcher:
     ) -> list[tuple[_Key, _Entry]]:
         """Decode one counted (parent, column) task into candidate entries."""
         return [
-            (
-                parent_key + ((pos, int(supported[i])),),
-                _Entry(weight, float(counts[i]), float(marginals[i]), True),
+            (parent_key + ((pos, code),), _Entry(weight, count, marginal, True))
+            for code, count, marginal in zip(
+                supported.tolist(), counts.tolist(), marginals.tolist()
             )
-            for i in range(supported.size)
         ]
 
     def _count_extensions(
+        self, parents: list[tuple[_Key, np.ndarray, Sequence[int]]]
+    ) -> list[tuple[_Key, _Entry, np.ndarray]]:
+        """Count all value extensions of every ``(key, rows, positions)`` parent.
+
+        Two bincounts per column over a parent's covered rows yield the
+        Count and MarginalValue of every candidate ``parent ∧ (pos=v)``;
+        candidates come back with their parent's rows, in (parent,
+        column, value) order.  The fast path runs through the shared
+        :func:`~repro.core.parallel.count_parent_extensions` — once per
+        parent in process, or fanned out over the counting backend.
+        """
+        out: list[tuple[_Key, _Entry, np.ndarray]] = []
+        if self.fast_weight is None:
+            for parent_key, parent_rows, positions in parents:
+                for pos in positions:
+                    self.stats.rows_scanned += parent_rows.size
+                    for key, entry in self._count_extensions_slow(parent_key, parent_rows, pos):
+                        out.append((key, entry, parent_rows))
+            return out
+        tasks: list[CountTask] = []
+        owners: list[tuple[_Key, np.ndarray]] = []
+        for parent_key, parent_rows, positions in parents:
+            rows = None if parent_rows.size == self.table.n_rows else parent_rows
+            for pos in positions:
+                weight = self._ext_weight(parent_key, pos)
+                tasks.append(CountTask(len(tasks), pos, self.distinct[pos], weight, rows))
+                owners.append((parent_key, parent_rows))
+        if self.backend is None:
+            results = count_tasks(self.codes, self._count_measures, self.top, tasks)
+        else:
+            results = self.backend.count_batch(tasks) if tasks else {}
+        for task, (parent_key, parent_rows) in zip(tasks, owners):
+            self.stats.rows_scanned += parent_rows.size
+            for key, entry in self._entries_of(
+                parent_key, task.pos, task.weight, *results[task.task_id]
+            ):
+                out.append((key, entry, parent_rows))
+        return out
+
+    def _count_extensions_slow(
         self, parent_key: _Key, parent_rows: np.ndarray, pos: int
     ) -> list[tuple[_Key, _Entry]]:
-        """Count all value extensions of ``parent_key`` on column ``pos``.
-
-        Two weighted bincounts over the parent's covered rows yield the
-        Count and MarginalValue of every candidate ``parent ∧ (pos=v)``
-        (the fast path runs through the shared
-        :func:`~repro.core.parallel.count_extensions_kernel`).
-        """
+        """One column of :meth:`_count_extensions` under a value-dependent weight."""
         n_values = self.distinct[pos]
-        self.stats.rows_scanned += parent_rows.size
-        if self.fast_weight is not None:
-            weight = self._ext_weight(parent_key, pos)
-            rows = None if parent_rows.size == self.table.n_rows else parent_rows
-            supported, counts, marginals = count_extensions_kernel(
-                self.codes[pos], self.measures, self.top, rows, n_values, weight
-            )
-            return self._entries_of(parent_key, pos, weight, supported, counts, marginals)
         if parent_rows.size == self.table.n_rows:  # trivial parent: skip the gathers
             codes = self.codes[pos]
             measures = self.measures
@@ -429,44 +458,32 @@ class _Searcher:
 
         Survivors carry the row array of their (trivial) parent — the
         full-table arange — from which their own covered rows derive
-        lazily if they are ever extended.  With a counting backend, the
-        per-column full-table tasks are dispatched as one batch.
+        lazily if they are ever extended.
         """
         self.stats.passes += 1
-        survivors: list[tuple[_Key, np.ndarray]] = []
         empty: _Key = ()
         dtype = np.int32 if self.table.n_rows < 2**31 else np.int64
         all_rows = np.arange(self.table.n_rows, dtype=dtype)
-        n_cat = len(self.cat_positions)
+        positions = range(len(self.cat_positions))
         if self.first_pick is not None:
             # Heap-build over the registration-time cache: the arrays
-            # are the kernel's own output at this exact (table, weight,
-            # base top), so _entries_of sees bit-identical inputs to a
-            # cold scan — no rows are touched.
+            # are the counting primitive's own output at this exact
+            # (table, weight, base top), so _entries_of sees
+            # bit-identical inputs to a cold scan — no rows are touched.
             self.first_pick.hits += 1
-            for pos in range(n_cat):
-                weight, supported, counts, marginals = self.first_pick.level1(pos)
-                for key, entry in self._entries_of(empty, pos, weight, supported, counts, marginals):
-                    self._offer(key, entry)
-                    survivors.append((key, all_rows))
-            return survivors
-        if self.backend is not None:
-            specs = [
-                (pos, self.distinct[pos], self._ext_weight(empty, pos))
-                for pos in range(n_cat)
+            counted = [
+                pair
+                for pos in positions
+                for pair in self._entries_of(empty, pos, *self.first_pick.level1(pos))
             ]
-            results = self.backend.count_columns(specs)
-            for pos, _n_values, weight in specs:
-                self.stats.rows_scanned += self.table.n_rows
-                for key, entry in self._entries_of(empty, pos, weight, *results[pos]):
-                    self._offer(key, entry)
-                    survivors.append((key, all_rows))
-            return survivors
-        for pos in range(n_cat):
-            for key, entry in self._count_extensions(empty, all_rows, pos):
-                self._offer(key, entry)
-                survivors.append((key, all_rows))
-        return survivors
+        else:
+            counted = [
+                (key, entry)
+                for key, entry, _rows in self._count_extensions([(empty, all_rows, positions)])
+            ]
+        for key, entry in counted:
+            self._offer(key, entry)
+        return [(key, all_rows) for key, _entry in counted]
 
     def _rows_of(self, key: _Key, parent_rows: np.ndarray) -> np.ndarray:
         """Materialise a candidate's covered rows from its parent's rows.
@@ -503,10 +520,9 @@ class _Searcher:
         are offered in the serial order.
         """
         self.stats.passes += 1
-        if self.backend is not None:
-            return self._next_pass_batched(frontier)
         survivors: list[tuple[_Key, np.ndarray]] = []
         n_cat = len(self.cat_positions)
+        parents: list[tuple[_Key, np.ndarray, Sequence[int]]] = []
         for parent_key, grandparent_rows in frontier:
             entry = self.counted[parent_key]
             if not entry.extendable:
@@ -522,58 +538,27 @@ class _Searcher:
                 continue
             parent_rows = self._rows_of(parent_key, grandparent_rows)
             self.stats.parents_extended += 1
-            for pos in range(last_pos + 1, n_cat):
-                for key, child in self._count_extensions(parent_key, parent_rows, pos):
-                    self._offer(key, child)
-                    if child.extendable and self.prune:
-                        if self._upper_bound(key) < self.threshold:
-                            child.extendable = False
-                            self.stats.parents_pruned += 1
-                    if child.extendable:
-                        survivors.append((key, parent_rows))
+            parents.append((parent_key, parent_rows, range(last_pos + 1, n_cat)))
+            if self.backend is None:  # serial: H tightens before the next prune check
+                self._offer_children(parents, survivors)
+                parents = []
+        self._offer_children(parents, survivors)
         return survivors
 
-    def _next_pass_batched(
-        self, frontier: list[tuple[_Key, np.ndarray]]
-    ) -> list[tuple[_Key, np.ndarray]]:
-        """Backend variant of :meth:`_next_pass`: one batch per level."""
-        survivors: list[tuple[_Key, np.ndarray]] = []
-        n_cat = len(self.cat_positions)
-        tasks: list[CountTask] = []
-        pending: list[tuple[_Key, np.ndarray, int, float, int]] = []
-        for parent_key, grandparent_rows in frontier:
-            entry = self.counted[parent_key]
-            if not entry.extendable:
-                continue
-            if self.prune:
-                parent_bound = entry.marginal + entry.count * max(self.mw - entry.weight, 0.0)
-                if parent_bound < self.threshold:
-                    entry.extendable = False
+    def _offer_children(
+        self,
+        parents: list[tuple[_Key, np.ndarray, Sequence[int]]],
+        survivors: list[tuple[_Key, np.ndarray]],
+    ) -> None:
+        """Count ``parents``' extensions, offer each, keep the extendable ones."""
+        for key, child, parent_rows in self._count_extensions(parents):
+            self._offer(key, child)
+            if child.extendable and self.prune:
+                if self._upper_bound(key) < self.threshold:
+                    child.extendable = False
                     self.stats.parents_pruned += 1
-                    continue
-            last_pos = parent_key[-1][0]
-            if last_pos + 1 >= n_cat:
-                continue
-            parent_rows = self._rows_of(parent_key, grandparent_rows)
-            self.stats.parents_extended += 1
-            rows_arg = None if parent_rows.size == self.table.n_rows else parent_rows
-            for pos in range(last_pos + 1, n_cat):
-                weight = self._ext_weight(parent_key, pos)
-                task_id = len(tasks)
-                tasks.append(CountTask(task_id, pos, self.distinct[pos], weight, rows_arg))
-                pending.append((parent_key, parent_rows, pos, weight, task_id))
-        results = self.backend.count_batch(tasks) if tasks else {}
-        for parent_key, parent_rows, pos, weight, task_id in pending:
-            self.stats.rows_scanned += parent_rows.size
-            for key, child in self._entries_of(parent_key, pos, weight, *results[task_id]):
-                self._offer(key, child)
-                if child.extendable and self.prune:
-                    if self._upper_bound(key) < self.threshold:
-                        child.extendable = False
-                        self.stats.parents_pruned += 1
-                if child.extendable:
-                    survivors.append((key, parent_rows))
-        return survivors
+            if child.extendable:
+                survivors.append((key, parent_rows))
 
     def run(self) -> MarginalResult | None:
         if self.backend is not None:

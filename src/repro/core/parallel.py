@@ -3,11 +3,26 @@
 The incremental engine (:mod:`repro.core.search_cache`) made picks
 2..k of a BRS run nearly free, so interactive latency is dominated by
 the *first* pick's level-wise a-priori counting: for every surviving
-(parent, extension-column) pair, two weighted ``np.bincount`` passes
-over the parent's covered rows (see
-:func:`count_extensions_kernel`).  Those passes are independent of one
-another, which makes them embarrassingly parallel — this module shards
-them across a persistent worker-pool.
+parent, two ``np.bincount`` passes per extension column over the
+parent's covered rows.  This module holds the one primitive that does
+that counting (:func:`count_parent_extensions`) for every engine, and —
+because the passes are independent of one another — a persistent
+worker pool to shard them across.
+
+The counting primitive
+----------------------
+
+:func:`count_parent_extensions` counts one parent on any number of
+columns.  Everything that depends on the parent alone is done once per
+call: ``top`` (and, for Sum, the measures) is gathered over the
+parent's rows once, and the gain vector ``m · max(W − top, 0)`` is
+computed once per *distinct* extension weight, in place.  A column then
+costs one gather of its codes plus the two bincounts.  For Count
+(``measures=None``) there is no measure gather or multiply at all and
+Counts come from an unweighted integer bincount.
+:func:`count_extensions_kernel` is its one-column case, kept under the
+signature outside callers bind to; :func:`count_tasks` regroups
+per-column :class:`CountTask` lists by parent for it.
 
 Architecture
 ------------
@@ -34,22 +49,25 @@ Architecture
   :class:`CountingBackend`: :class:`~repro.core.marginal._Searcher`
   batches each level pass, :class:`~repro.core.search_cache.SearchContext`
   batches its size-1 build and per-candidate expansions.  When no
-  backend is configured (``n_workers=None``/``1``), both engines run
-  their original serial code paths, byte for byte.
+  backend is configured (``n_workers=None``/``1``), both engines call
+  :func:`count_tasks` in process instead — same primitive, same bits.
 * **Registration-time precompute.**  The serving catalog's first-pick
   marginal cache (:mod:`repro.core.first_pick`) is a third client of
-  :func:`count_extensions_kernel`: it runs the level-1 passes once per
-  ``(table, weighting, mw)`` at registration and serves the kernel's
+  the primitive: it runs the level-1 pass once per
+  ``(table, weighting, mw)`` at registration and serves that
   output read-only, so a cold session's first pick skips both the
   serial scan *and* the pool dispatch (which the recorded 1-core bench
   shows can be slower than serial for that single batch).  Shard
   workers rebuild the identical cache from their wire-decoded table
-  copies — same kernel, same arrays, bit for bit.
-* **Bit-identical results.**  The unit of work is one whole
-  (parent, column) bincount pair — row ranges are never split, so
-  float accumulation order inside every bincount is exactly the serial
-  order and the returned Counts/MarginalValues are bit-identical.
-  Batching a level only changes *when* the a-priori threshold is
+  copies — same primitive, same arrays, bit for bit.
+* **Bit-identical results.**  Counts/MarginalValues do not depend on
+  how columns are grouped into calls or where a call runs, and equal
+  the per-(parent, column) kernel this primitive replaced, because
+  nothing that rounds differs: the element-wise operations are the
+  same IEEE operations on the same operands (multiplying by 1.0 is
+  the identity), every bincount bin folds its rows left to right in
+  row order, a row range is never split, and integer Counts are exact
+  in float64 below 2^53.  Batching a level only changes *when* the a-priori threshold is
   consulted (a batched pass prunes with the threshold as of the start
   of the pass, the serial pass with a running threshold); pruning with
   any valid threshold never removes a candidate that could beat or tie
@@ -131,9 +149,12 @@ __all__ = [
     "CountingBackend",
     "CountingPool",
     "count_extensions_kernel",
+    "count_parent_extensions",
+    "count_tasks",
     "current_deadline",
     "deadline_scope",
     "default_pool",
+    "nonunit_measures",
     "resolve_pool",
 ]
 
@@ -170,6 +191,75 @@ def deadline_scope(deadline_at: float | None) -> Iterator[None]:
         _DEADLINES.at = previous
 
 
+_Counted = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def nonunit_measures(measures: np.ndarray) -> np.ndarray | None:
+    """``measures``, or ``None`` when every tuple's measure is 1 (Count)
+    — the form :func:`count_parent_extensions` takes them in."""
+    return None if bool((measures == 1.0).all()) else measures
+
+
+def count_parent_extensions(
+    code_arrays: Sequence[np.ndarray],
+    positions: Sequence[int],
+    n_values: Sequence[int],
+    weights: Sequence[float],
+    measures: np.ndarray | None,
+    top: np.ndarray,
+    rows: np.ndarray | None,
+) -> list[_Counted]:
+    """Count all value extensions of one parent on several columns.
+
+    The counting primitive shared by the serial engines, the first-pick
+    precompute and the worker processes — keeping it in one place is
+    what makes them bit-identical to one another (see the module
+    docstring).  For the parent covering ``rows`` (``None`` means the
+    whole table) and each column ``code_arrays[positions[i]]`` extended
+    under the scalar fast-path weight ``weights[i]``, two bincounts
+    over the parent's rows yield every value extension's
+
+        Count(v)        = Σ_{t ∈ parent, t.c = v} m(t)
+        MarginalVal(v)  = Σ_{t ∈ parent, t.c = v} m(t) · max(W − top(t), 0)
+
+    ``measures=None`` means unit measures (Count).  Returns one
+    ``(supported, counts, marginals)`` per position, where ``supported``
+    holds the codes with positive Count and the other two arrays
+    (float64) align to it.
+    """
+    if rows is None:
+        t, m = top, measures
+    else:
+        t = np.take(top, rows)
+        m = None if measures is None else np.take(measures, rows)
+    out: list = [None] * len(positions)
+    gains = current = None
+    for i in sorted(range(len(positions)), key=weights.__getitem__):
+        codes = code_arrays[positions[i]]
+        c = codes if rows is None else np.take(codes, rows)
+        if weights[i] != current:
+            current = weights[i]
+            if gains is None:  # one buffer per call; a scalar ``top`` broadcasts into it
+                gains = np.empty(c.shape, dtype=np.float64)
+            np.subtract(current, t, out=gains)
+            np.maximum(gains, 0.0, out=gains)
+            if m is not None:
+                np.multiply(gains, m, out=gains)
+        if m is None:
+            counts = np.bincount(c, minlength=n_values[i])
+        else:
+            counts = np.bincount(c, weights=m, minlength=n_values[i])
+        marginals = np.bincount(c, weights=gains, minlength=n_values[i])
+        supported = np.nonzero(counts > 0)[0]
+        # astype: integer Counts, and numpy's all-intp bincount of no rows.
+        out[i] = (
+            supported,
+            counts[supported].astype(np.float64, copy=False),
+            marginals[supported].astype(np.float64, copy=False),
+        )
+    return out
+
+
 def count_extensions_kernel(
     codes: np.ndarray,
     measures: np.ndarray,
@@ -177,33 +267,15 @@ def count_extensions_kernel(
     rows: np.ndarray | None,
     n_values: int,
     weight: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> _Counted:
     """Count all value extensions of one parent on one column.
 
-    The counting primitive shared by the serial engines and the worker
-    processes — keeping it in one place is what makes the parallel
-    backend bit-identical to the serial path.  Two weighted bincounts
-    over the parent's covered rows (``rows``; ``None`` means the whole
-    table) yield the Count and MarginalValue of every value extension
-    under the scalar fast-path ``weight``:
-
-        Count(v)        = Σ_{t ∈ parent, t.c = v} m(t)
-        MarginalVal(v)  = Σ_{t ∈ parent, t.c = v} m(t) · max(W − top(t), 0)
-
-    Returns ``(supported, counts, marginals)`` where ``supported`` holds
-    the codes with positive Count and the other two arrays align to it.
+    The one-column case of :func:`count_parent_extensions`, under its
+    original name and signature.
     """
-    if rows is None:
-        c, m, t = codes, measures, top
-    else:
-        c = codes[rows]
-        m = measures[rows]
-        t = top[rows]
-    counts = np.bincount(c, weights=m, minlength=n_values)
-    gains = np.maximum(weight - t, 0.0) * m
-    marginals = np.bincount(c, weights=gains, minlength=n_values)
-    supported = np.nonzero(counts > 0)[0]
-    return supported, counts[supported], marginals[supported]
+    return count_parent_extensions(
+        (codes,), (0,), (n_values,), (weight,), measures, top, rows
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -229,6 +301,37 @@ def _task_cost(task: CountTask, full_cost: int) -> int:
     return full_cost if task.rows is None else int(task.rows.size)
 
 
+def _rows_key(task: CountTask) -> int | None:
+    """Tasks with equal keys extend the same parent (share one row array)."""
+    return None if task.rows is None else id(task.rows)
+
+
+def count_tasks(
+    code_arrays: Sequence[np.ndarray],
+    measures: np.ndarray | None,
+    top: np.ndarray,
+    tasks: Sequence[CountTask],
+) -> dict[int, _Counted]:
+    """Count ``tasks`` in-process, one primitive call per distinct parent."""
+    parents: dict[int | None, list[CountTask]] = {}
+    for task in tasks:
+        parents.setdefault(_rows_key(task), []).append(task)
+    results: dict[int, _Counted] = {}
+    for group in parents.values():
+        counted = count_parent_extensions(
+            code_arrays,
+            [t.pos for t in group],
+            [t.n_values for t in group],
+            [t.weight for t in group],
+            measures,
+            top,
+            group[0].rows,
+        )
+        for task, result in zip(group, counted):
+            results[task.task_id] = result
+    return results
+
+
 # -- worker side ---------------------------------------------------------------
 
 #: Per-worker cache of attached shared tables, LRU-capped so a
@@ -251,8 +354,8 @@ def _worker_attach(meta: tuple) -> tuple:
         np.ndarray((n_rows,), dtype=np.int32, buffer=data_shm.buf, offset=off)
         for off in cat_offsets
     ]
-    measures = np.ndarray(
-        (n_rows,), dtype=np.float64, buffer=data_shm.buf, offset=measures_offset
+    measures = nonunit_measures(
+        np.ndarray((n_rows,), dtype=np.float64, buffer=data_shm.buf, offset=measures_offset)
     )
     top = np.ndarray((n_rows,), dtype=np.float64, buffer=top_shm.buf)
     entry = (data_shm, top_shm, codes, measures, top)
@@ -277,14 +380,19 @@ def _worker_count(
     extended on several columns ships its rows a single time.
     """
     _data, _top_shm, codes, measures, top = _worker_attach(meta)
-    out: list[tuple] = []
-    for task_id, pos, n_values, weight, rows_idx in tasks:
-        rows = None if rows_idx is None else rows_arrays[rows_idx]
-        supported, counts, marginals = count_extensions_kernel(
-            codes[pos], measures, top, rows, n_values, weight
-        )
-        out.append((task_id, supported, counts, marginals))
-    return out
+    counted = count_tasks(
+        codes,
+        measures,
+        top,
+        [
+            CountTask(
+                task_id, pos, n_values, weight,
+                None if rows_idx is None else rows_arrays[rows_idx],
+            )
+            for task_id, pos, n_values, weight, rows_idx in tasks
+        ],
+    )
+    return [(task_id, *result) for task_id, result in counted.items()]
 
 
 # -- parent side ---------------------------------------------------------------
@@ -443,6 +551,9 @@ class CountingBackend:
     batches: int = 0
     _top_version: int = 0
 
+    def __post_init__(self) -> None:
+        self._count_measures = nonunit_measures(self.measures)
+
     def set_top(self, top: np.ndarray) -> None:
         """Stage ``top`` for the next batches.
 
@@ -457,32 +568,24 @@ class CountingBackend:
 
     def count_columns(
         self, specs: Sequence[tuple[int, int, float]]
-    ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> dict[int, _Counted]:
         """Count whole-table extensions for ``(pos, n_values, weight)`` specs.
 
-        The shared wrapper for the engines' size-1 passes — both
-        :mod:`repro.core.marginal` and :mod:`repro.core.search_cache`
-        build their first level through this, so the task construction
-        cannot drift between them.  Results are keyed by ``pos``.
+        A :meth:`count_batch` of the trivial parent's columns, for
+        callers outside the engines (the e2e benchmark's ``layers``
+        pass times it).  Results are keyed by ``pos``.
         """
         return self.count_batch(
             [CountTask(pos, pos, n_values, weight, None) for pos, n_values, weight in specs]
         )
 
-    def _count_local(self, task: CountTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        self.tasks_local += 1
-        return count_extensions_kernel(
-            self.codes[task.pos],
-            self.measures,
-            self.top,
-            task.rows,
-            task.n_values,
-            task.weight,
-        )
+    def _count_local(self, tasks: Sequence[CountTask]) -> dict[int, _Counted]:
+        self.tasks_local += len(tasks)
+        return count_tasks(self.codes, self._count_measures, self.top, tasks)
 
     def count_batch(
         self, tasks: Sequence[CountTask]
-    ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> dict[int, _Counted]:
         """Count every task, returning ``{task_id: (codes, counts, marginals)}``.
 
         Tasks scanning at least ``pool.min_task_rows`` rows are packed
@@ -504,11 +607,9 @@ class CountingBackend:
         executor = self.pool._ensure_executor() if remote else None
         if executor is None:
             remote = []
-        results: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         if not remote:
-            for task in tasks:
-                results[task.task_id] = self._count_local(task)
-            return results
+            return self._count_local(tasks)
+        results: dict[int, _Counted] = {}
         shipped = {t.task_id for t in remote}
         local = [t for t in tasks if t.task_id not in shipped]
         scheduler = self.pool.scheduler
@@ -559,8 +660,7 @@ class CountingBackend:
                     self.pool._mark_broken()
                     futures = []
                     local = list(tasks)
-            for task in local:  # overlaps with the in-flight futures
-                results[task.task_id] = self._count_local(task)
+            results.update(self._count_local(local))  # overlaps with the futures
             failed: list[CountTask] = []
             for future in futures:
                 try:
@@ -570,8 +670,7 @@ class CountingBackend:
                     self.pool._mark_broken()
                     failed = [t for t in remote if t.task_id not in results]
                     break
-            for task in failed:
-                results[task.task_id] = self._count_local(task)
+            results.update(self._count_local(failed))
         return results
 
 
@@ -808,7 +907,7 @@ class CountingPool:
         """
         groups: dict[int | None, list[CountTask]] = {}
         for task in tasks:
-            groups.setdefault(None if task.rows is None else id(task.rows), []).append(task)
+            groups.setdefault(_rows_key(task), []).append(task)
         units = list(groups.values())
         n_buckets = min(self.n_workers, len(units))
         buckets: list[list[CountTask]] = [[] for _ in range(n_buckets)]

@@ -111,7 +111,8 @@ from repro.core.marginal import (
 from repro.core.parallel import (
     CountTask,
     CountingPool,
-    count_extensions_kernel,
+    count_tasks,
+    nonunit_measures,
     resolve_pool,
 )
 from repro.core.rule import Rule
@@ -125,7 +126,7 @@ __all__ = ["SearchContext"]
 _Key = tuple[tuple[int, int], ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Candidate:
     """One cached candidate with its pick-invariant statistics.
 
@@ -198,6 +199,9 @@ class SearchContext:
         self.measures = (
             np.ones(n, dtype=np.float64) if measures is None else measures.astype(np.float64)
         )
+        # None for unit measures (every Count search): the counting
+        # primitive and _refresh then skip gathering and multiplying 1.0.
+        self._count_measures = None if measures is None else nonunit_measures(self.measures)
         self.cat_positions = table.schema.categorical_indexes
         self.codes: list[np.ndarray] = []
         self.distinct: list[int] = []
@@ -229,7 +233,7 @@ class SearchContext:
             # Cache arrays were built with all-ones measures (Count);
             # an explicit all-ones array (tuple_measures with no
             # measure column) feeds the kernel identical inputs.
-            and (not self._measures_given or bool((self.measures == 1.0).all()))
+            and self._count_measures is None
         )
         self.first_pick = first_pick if usable else None
         if first_pick is not None and not usable:
@@ -329,6 +333,7 @@ class SearchContext:
         new.tenant = tenant
         new._measures_given = self._measures_given
         new.measures = self.measures
+        new._count_measures = self._count_measures
         new.cat_positions = self.cat_positions
         new.codes = self.codes
         new.distinct = self.distinct
@@ -399,7 +404,7 @@ class SearchContext:
             if parent_rows.size == codes.size:  # trivial parent: avoid the gather
                 cand.rows = np.nonzero(codes == code)[0]
             else:
-                cand.rows = parent_rows[codes[parent_rows] == code]
+                cand.rows = parent_rows[np.take(codes, parent_rows) == code]
             cand.parent_rows = None
             stats.rows_scanned += parent_rows.size
         return cand.rows
@@ -421,66 +426,86 @@ class SearchContext:
         marginals: np.ndarray,
         stats: SearchStats,
     ) -> None:
-        """Cache one counted (parent, column) task's candidates (fast path)."""
+        """Cache one counted (parent, column) task's candidates (fast path).
+
+        Children heavier than ``mw`` are discarded outright — they can
+        never be a best rule and (by monotonicity) neither can any
+        super-rule, so the from-scratch searcher never extends them
+        either.  Every child of a task shares the task's weight.
+        """
+        stats.candidates_generated += supported.size
+        if weight > self.mw:
+            return
+        stats.candidates_eligible += supported.size
+        self._generated_this_epoch += supported.size
         size = len(parent_key) + 1
-        for i in range(supported.size):
-            key = parent_key + ((pos, int(supported[i])),)
-            stats.candidates_generated += 1
-            if weight > self.mw:
-                continue
-            stats.candidates_eligible += 1
-            marginal = float(marginals[i])
-            expandable = size < self.max_rule_size and pos + 1 < self._n_cat
-            cand = _Candidate(
-                key=key,
-                weight=weight,
-                count=float(counts[i]),
-                marginal=marginal,
-                epoch=self._epoch,
-                heap_m=marginal,
-                heap_ub=0.0,
-                expandable=expandable,
-                parent_rows=parent_rows,
+        expandable = size < self.max_rule_size and pos + 1 < self._n_cat
+        slack = max(self.mw - weight, 0.0)  # the Section 3.5 bound, as in _bound
+        epoch, cands, vheap, xheap = self._epoch, self._cands, self._vheap, self._xheap
+        for code, count, marginal in zip(
+            supported.tolist(), counts.tolist(), marginals.tolist()
+        ):
+            key = parent_key + ((pos, code),)
+            bound = marginal + count * slack if expandable else 0.0
+            cands[key] = _Candidate(
+                key, weight, count, marginal, epoch, marginal, bound, expandable,
+                None, parent_rows,
             )
-            self._cands[key] = cand
-            self._generated_this_epoch += 1
-            heapq.heappush(self._vheap, (-marginal, size, key))
+            heapq.heappush(vheap, (-marginal, size, key))
             if expandable:
-                cand.heap_ub = self._bound(cand)
-                heapq.heappush(self._xheap, (-cand.heap_ub, size, key))
+                heapq.heappush(xheap, (-bound, size, key))
 
-    def _generate(self, parent_key: _Key, parent_rows: np.ndarray, pos: int, stats: SearchStats) -> None:
-        """Count and cache all value extensions of a parent on one column.
+    def _generate(
+        self, parent_key: _Key, parent_rows: np.ndarray, positions: list[int], stats: SearchStats
+    ) -> None:
+        """Count and cache all value extensions of a parent on ``positions``.
 
-        One weighted bincount yields every child's Count and one more
-        its MarginalValue; children keep a borrowed reference to the
-        parent's rows instead of materialising their own (see
-        :meth:`_rows`).  Children heavier than ``mw`` are discarded
-        outright — they can never be a best rule and (by monotonicity)
-        neither can any super-rule, so the from-scratch searcher never
-        extends them either.
+        Children keep a borrowed reference to the parent's rows instead
+        of materialising their own (see :meth:`_rows`).
 
-        The counting arithmetic runs through the shared
-        :func:`~repro.core.parallel.count_extensions_kernel` on the
-        fast path, keeping it in lockstep with
-        ``_Searcher._count_extensions`` in :mod:`repro.core.marginal`
-        *and* with the worker processes — the engines' bit-identical
-        guarantee depends on it, and the equivalence suites
+        On the fast path the parent's per-column tasks are counted by
+        one :func:`~repro.core.parallel.count_parent_extensions` call —
+        in process, or wherever the counting backend sends them (small
+        tasks still run locally; the backend decides per task).  That
+        one primitive is what keeps this engine in lockstep with
+        ``_Searcher`` in :mod:`repro.core.marginal` *and* with the
+        worker processes — the engines' bit-identical guarantee depends
+        on it, and the equivalence suites
         (``tests/core/test_incremental.py``,
         ``tests/core/test_parallel.py``) pin it.
         """
+        if self.fast_weight is None:
+            for pos in positions:
+                self._generate_slow(parent_key, parent_rows, pos, stats)
+            return
+        if not positions:
+            return
+        rows = None if parent_rows.size == self.table.n_rows else parent_rows
+        tasks = [
+            CountTask(i, pos, self.distinct[pos], self._ext_weight(parent_key, pos), rows)
+            for i, pos in enumerate(positions)
+        ]
+        if self.backend is None:
+            results = count_tasks(self.codes, self._count_measures, self._top, tasks)
+        else:
+            results = self.backend.count_batch(tasks)
+        for task in tasks:
+            stats.rows_scanned += parent_rows.size
+            self._insert_children(
+                parent_key, parent_rows, task.pos, task.weight, *results[task.task_id], stats
+            )
+
+    def _generate_slow(
+        self, parent_key: _Key, parent_rows: np.ndarray, pos: int, stats: SearchStats
+    ) -> None:
+        """:meth:`_generate` for value-dependent weights, one column at a time.
+
+        One weighted bincount yields every child's Count; each child's
+        weight and MarginalValue (a pairwise sum — :meth:`_refresh`
+        stays in lockstep) are computed per value.
+        """
         n_values = self.distinct[pos]
         stats.rows_scanned += parent_rows.size
-        if self.fast_weight is not None:
-            weight = self._ext_weight(parent_key, pos)
-            rows = None if parent_rows.size == self.table.n_rows else parent_rows
-            supported, counts, marginals = count_extensions_kernel(
-                self.codes[pos], self.measures, self._top, rows, n_values, weight
-            )
-            self._insert_children(
-                parent_key, parent_rows, pos, weight, supported, counts, marginals, stats
-            )
-            return
         if parent_rows.size == self.table.n_rows:  # trivial parent: skip the gathers
             codes = self.codes[pos]
             measures = self.measures
@@ -532,43 +557,25 @@ class SearchContext:
         all_rows = np.arange(self.table.n_rows, dtype=self._row_dtype)
         if self.first_pick is not None and self._top_is_base:
             # Heap-build over the registration-time level-1 cache: the
-            # arrays are the kernel's own output at this exact (table,
-            # weight, base top), so _insert_children sees bit-identical
-            # inputs to a cold scan — no rows are touched.
+            # arrays are the counting primitive's own output at this
+            # exact (table, weight, base top), so _insert_children sees
+            # bit-identical inputs to a cold scan — no rows are touched.
             self.first_pick.hits += 1
             for pos in range(self._n_cat):
                 weight, supported, counts, marginals = self.first_pick.level1(pos)
                 self._insert_children((), all_rows, pos, weight, supported, counts, marginals, stats)
-            stats.passes += 1
-            self._built = True
-            return
-        if self.first_pick is not None:
-            self.first_pick.misses += 1
-        if self.backend is not None:
-            specs = [
-                (pos, self.distinct[pos], self._ext_weight((), pos))
-                for pos in range(self._n_cat)
-            ]
-            results = self.backend.count_columns(specs)
-            for pos, _n_values, weight in specs:
-                stats.rows_scanned += self.table.n_rows
-                self._insert_children((), all_rows, pos, weight, *results[pos], stats)
         else:
-            for pos in range(self._n_cat):
-                self._generate((), all_rows, pos, stats)
+            if self.first_pick is not None:
+                self.first_pick.misses += 1
+            self._generate((), all_rows, list(range(self._n_cat)), stats)
         stats.passes += 1
         self._built = True
 
     def _expand(self, cand: _Candidate, stats: SearchStats) -> None:
-        """Generate all extensions of a cached candidate from its rows.
-
-        With a counting backend, the per-column tasks of this candidate
-        form one batch (small tasks still run locally — the backend
-        decides per task).
-        """
+        """Generate all extensions of a cached candidate from its rows."""
         stats.parents_extended += 1
         rows = self._rows(cand, stats)
-        last_pos = cand.key[-1][0]
+        positions = list(range(cand.key[-1][0] + 1, self._n_cat))
         if (
             self.first_pick is not None
             and self._top_is_base
@@ -582,48 +589,16 @@ class SearchContext:
             # and fall through to the normal scan.
             p, code = cand.key[0]
             cold: list[int] = []
-            for pos in range(last_pos + 1, self._n_cat):
+            for pos in positions:
                 served = self.first_pick.pair(p, code, pos)
                 if served is None:
                     self.first_pick.note_pair(p, pos)
                     cold.append(pos)
                 else:
                     self._insert_children(cand.key, rows, pos, *served, stats)
-            if not cold:
-                cand.expanded = True
-                return
-            self._expand_cold(cand, rows, cold, stats)
-            cand.expanded = True
-            return
-        self._expand_cold(cand, rows, list(range(last_pos + 1, self._n_cat)), stats)
+            positions = cold
+        self._generate(cand.key, rows, positions, stats)
         cand.expanded = True
-
-    def _expand_cold(
-        self,
-        cand: _Candidate,
-        rows: np.ndarray,
-        positions: list[int],
-        stats: SearchStats,
-    ) -> None:
-        """Count extensions of ``cand`` on ``positions`` by scanning its rows."""
-        if self.backend is not None:
-            rows_arg = None if rows.size == self.table.n_rows else rows
-            specs = [(pos, self._ext_weight(cand.key, pos)) for pos in positions]
-            if specs:
-                results = self.backend.count_batch(
-                    [
-                        CountTask(i, pos, self.distinct[pos], weight, rows_arg)
-                        for i, (pos, weight) in enumerate(specs)
-                    ]
-                )
-                for i, (pos, weight) in enumerate(specs):
-                    stats.rows_scanned += rows.size
-                    self._insert_children(
-                        cand.key, rows, pos, weight, *results[i], stats
-                    )
-        else:
-            for pos in positions:
-                self._generate(cand.key, rows, pos, stats)
 
     # -- per-pick search -------------------------------------------------------
 
@@ -661,22 +636,23 @@ class SearchContext:
             cand.marginal = 0.0  # max(W - top, 0) is identically zero
         else:
             rows = self._rows(cand, stats)
-            gains = np.maximum(cand.weight - self._top[rows], 0.0) * self.measures[rows]
+            gains = np.take(self._top, rows)
+            np.subtract(cand.weight, gains, out=gains)
+            np.maximum(gains, 0.0, out=gains)
+            if self._count_measures is not None:
+                np.multiply(gains, np.take(self._count_measures, rows), out=gains)
             if self.fast_weight is not None:
-                # Accumulate sequentially in row order — bit-identical to
-                # the counting kernel's bincount, so a marginal computed
-                # here equals the one a counting pass (this context's
-                # build, a sibling clone's, or the scratch engine's)
-                # produces.  numpy's pairwise .sum() differs in the last
-                # ulp, enough to flip near-ties between engines.
-                cand.marginal = float(
-                    np.bincount(
-                        np.zeros(rows.size, dtype=np.intp), weights=gains, minlength=1
-                    )[0]
-                )
+                # A left fold in row order — the order in which the
+                # counting primitive's bincount fills this candidate's
+                # bin, so a marginal computed here equals, bit for bit,
+                # the one a counting pass (this context's build, a
+                # sibling clone's, or the scratch engine's) produces.
+                # numpy's pairwise .sum() differs in the last ulp,
+                # enough to flip near-ties between engines.
+                cand.marginal = float(np.add.accumulate(gains, out=gains)[-1])
             else:
                 # Slow-path candidates are generated with a pairwise sum
-                # (see _generate); stay in lockstep with that.
+                # (see _generate_slow); stay in lockstep with that.
                 cand.marginal = float(gains.sum())
             stats.rows_scanned += rows.size
         stats.cache_hits += 1
