@@ -17,6 +17,11 @@ Section 3.1:
   ``k`` = number of distinct values) and also provided as a direct
   group-by fast path; the two produce the same rule multiset.
 
+The engines read the clicked rule back out of the lifted weight and
+mine only the columns it leaves starred: its own columns are
+single-valued on ``T_r'`` and could only duplicate candidates at a
+larger size, which lose every tie.
+
 The functions operate on whatever :class:`~repro.table.Table` they are
 given — the interactive session layer passes in samples and rescales
 counts.

@@ -66,6 +66,7 @@ cannot ship a scalar weight to the workers and always count serially.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -229,6 +230,43 @@ def _column_set_weight(
     return None
 
 
+def _free_positions(
+    wf: WeightFunction, cat_positions: Sequence[int], codes: Sequence[np.ndarray]
+) -> list[int]:
+    """Categorical positions a search under ``wf`` enumerates, ascending.
+
+    A drill-down mines ``T_r'`` under ``MergedWeight(wf, r')`` (possibly
+    star-constrained), where every column of ``r'`` is single-valued:
+    a candidate ``K ∧ c`` with ``c`` on those columns covers the rows
+    of ``K`` at the weight and marginal of ``K`` but is larger, so it
+    loses the (marginal desc, size asc, key asc) order to ``K`` and can
+    never be the best rule.  Both engines therefore skip the parent's
+    columns; under any other weight function every position is free.
+    ``codes[pos]`` is the code array at ``pos``: a skipped column that
+    holds two codes means the table was not filtered by the parent.
+    """
+    if isinstance(wf, StarConstrainedWeight):
+        wf = wf.base
+    if not isinstance(wf, MergedWeight):
+        return list(range(len(cat_positions)))
+    parent_columns = wf.parent.instantiated_indexes
+    free = []
+    for pos, idx in enumerate(cat_positions):
+        if idx not in parent_columns:
+            free.append(pos)
+        elif codes[pos].size and codes[pos].min() != codes[pos].max():
+            raise RuleError(
+                f"MergedWeight parent instantiates column {idx}, which is not "
+                "single-valued here: mine the table filtered by the parent"
+            )
+    return free
+
+
+def _free_after(free: Sequence[int], pos: int) -> Sequence[int]:
+    """The free positions after ``pos`` — where a key ending at ``pos`` extends."""
+    return free[bisect_right(free, pos):]
+
+
 class _Searcher:
     """State for one invocation of Algorithm 2 over a table."""
 
@@ -269,7 +307,10 @@ class _Searcher:
             assert isinstance(col, CategoricalColumn)
             self.codes.append(col.codes)
             self.distinct.append(col.distinct_count)
-        limit = len(self.cat_positions)
+        # Positions the level passes enumerate: all of them, minus the
+        # columns a drill-down parent already instantiates.
+        self._free = _free_positions(wf, self.cat_positions, self.codes)
+        limit = len(self._free)
         self.max_rule_size = limit if max_rule_size is None else min(max_rule_size, limit)
         self.fast_weight = _column_set_weight(wf)
         backend = None
@@ -464,7 +505,7 @@ class _Searcher:
         empty: _Key = ()
         dtype = np.int32 if self.table.n_rows < 2**31 else np.int64
         all_rows = np.arange(self.table.n_rows, dtype=dtype)
-        positions = range(len(self.cat_positions))
+        positions = self._free
         if self.first_pick is not None:
             # Heap-build over the registration-time cache: the arrays
             # are the counting primitive's own output at this exact
@@ -521,7 +562,6 @@ class _Searcher:
         """
         self.stats.passes += 1
         survivors: list[tuple[_Key, np.ndarray]] = []
-        n_cat = len(self.cat_positions)
         parents: list[tuple[_Key, np.ndarray, Sequence[int]]] = []
         for parent_key, grandparent_rows in frontier:
             entry = self.counted[parent_key]
@@ -533,12 +573,12 @@ class _Searcher:
                     entry.extendable = False
                     self.stats.parents_pruned += 1
                     continue
-            last_pos = parent_key[-1][0]
-            if last_pos + 1 >= n_cat:
+            positions = _free_after(self._free, parent_key[-1][0])
+            if not positions:
                 continue
             parent_rows = self._rows_of(parent_key, grandparent_rows)
             self.stats.parents_extended += 1
-            parents.append((parent_key, parent_rows, range(last_pos + 1, n_cat)))
+            parents.append((parent_key, parent_rows, positions))
             if self.backend is None:  # serial: H tightens before the next prune check
                 self._offer_children(parents, survivors)
                 parents = []

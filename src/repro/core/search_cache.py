@@ -37,6 +37,11 @@ invariant state across picks:
   its cached rows — never the full table), its children join the cache,
   and the lazy loop resumes.  A search ends only when no frontier bound
   reaches the settled best.
+* **Free columns only** — under a drill-down's ``MergedWeight`` the
+  lattice skips the clicked rule's own columns: single-valued on the
+  filtered table, they only duplicate candidates at a larger size,
+  which lose every tie (``_free_positions`` in
+  :mod:`repro.core.marginal`).
 
 **Correctness.**  The from-scratch search returns the maximum over all
 supported candidates of weight ≤ ``mw`` under the total order
@@ -105,6 +110,8 @@ from repro.core.marginal import (
     SearchStats,
     _column_set_weight,
     _extension_weight,
+    _free_after,
+    _free_positions,
     _key_columns,
     _key_rule,
 )
@@ -210,8 +217,10 @@ class SearchContext:
             assert isinstance(col, CategoricalColumn)
             self.codes.append(col.codes)
             self.distinct.append(col.distinct_count)
-        self._n_cat = len(self.cat_positions)
-        limit = self._n_cat
+        # Positions the lattice enumerates: all of them, minus the columns
+        # a drill-down parent already instantiates (see _free_positions).
+        self._free = _free_positions(wf, self.cat_positions, self.codes)
+        limit = len(self._free)
         self.max_rule_size = limit if max_rule_size is None else min(max_rule_size, limit)
         self._requested_max_rule_size = max_rule_size
         self.fast_weight = _column_set_weight(wf)
@@ -279,7 +288,8 @@ class SearchContext:
             raise RuleError("search context was built for a different mw")
         if prune != self.prune:
             raise RuleError("search context was built with a different prune setting")
-        limit = self._n_cat if max_rule_size is None else min(max_rule_size, self._n_cat)
+        n_free = len(self._free)
+        limit = n_free if max_rule_size is None else min(max_rule_size, n_free)
         if limit != self.max_rule_size:
             raise RuleError("search context was built with a different max_rule_size")
         if measures is None:
@@ -337,7 +347,7 @@ class SearchContext:
         new.cat_positions = self.cat_positions
         new.codes = self.codes
         new.distinct = self.distinct
-        new._n_cat = self._n_cat
+        new._free = self._free
         new.max_rule_size = self.max_rule_size
         new._requested_max_rule_size = self._requested_max_rule_size
         new.fast_weight = self.fast_weight
@@ -439,7 +449,7 @@ class SearchContext:
         stats.candidates_eligible += supported.size
         self._generated_this_epoch += supported.size
         size = len(parent_key) + 1
-        expandable = size < self.max_rule_size and pos + 1 < self._n_cat
+        expandable = size < self.max_rule_size and bool(_free_after(self._free, pos))
         slack = max(self.mw - weight, 0.0)  # the Section 3.5 bound, as in _bound
         epoch, cands, vheap, xheap = self._epoch, self._cands, self._vheap, self._xheap
         for code, count, marginal in zip(
@@ -517,6 +527,7 @@ class SearchContext:
         counts = np.bincount(codes, weights=measures, minlength=n_values)
         supported = np.nonzero(counts > 0)[0]
         size = len(parent_key) + 1
+        expandable = size < self.max_rule_size and bool(_free_after(self._free, pos))
         for code in supported:
             key = parent_key + ((pos, int(code)),)
             stats.candidates_generated += 1
@@ -528,7 +539,6 @@ class SearchContext:
             if weight > self.mw:
                 continue
             stats.candidates_eligible += 1
-            expandable = size < self.max_rule_size and pos + 1 < self._n_cat
             cand = _Candidate(
                 key=key,
                 weight=weight,
@@ -561,13 +571,13 @@ class SearchContext:
             # exact (table, weight, base top), so _insert_children sees
             # bit-identical inputs to a cold scan — no rows are touched.
             self.first_pick.hits += 1
-            for pos in range(self._n_cat):
+            for pos in self._free:
                 weight, supported, counts, marginals = self.first_pick.level1(pos)
                 self._insert_children((), all_rows, pos, weight, supported, counts, marginals, stats)
         else:
             if self.first_pick is not None:
                 self.first_pick.misses += 1
-            self._generate((), all_rows, list(range(self._n_cat)), stats)
+            self._generate((), all_rows, self._free, stats)
         stats.passes += 1
         self._built = True
 
@@ -575,7 +585,7 @@ class SearchContext:
         """Generate all extensions of a cached candidate from its rows."""
         stats.parents_extended += 1
         rows = self._rows(cand, stats)
-        positions = list(range(cand.key[-1][0] + 1, self._n_cat))
+        positions = _free_after(self._free, cand.key[-1][0])
         if (
             self.first_pick is not None
             and self._top_is_base

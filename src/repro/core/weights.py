@@ -292,6 +292,10 @@ class MergedWeight(WeightFunction):
     candidate ``r`` as ``W(merge(r, r'))``.  Monotone in ``r`` whenever
     ``W`` is monotone, and a column-set function whenever ``W`` is
     (the merged column set is the union with the parent's).
+
+    Only meaningful on ``T_{r'}``: the search engines do not enumerate
+    the parent's columns, and raise :class:`~repro.errors.RuleError`
+    if one of them holds two values in the mined table.
     """
 
     def __init__(self, base: WeightFunction, parent: Rule):

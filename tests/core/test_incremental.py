@@ -23,6 +23,7 @@ from repro.core import (
     StarConstrainedWeight,
     brs,
     brs_iter,
+    cover_mask,
     find_best_marginal_rule,
     rule_drilldown,
     star_drilldown,
@@ -41,11 +42,18 @@ def _weighting(name: str, table):
         return BitsWeight.for_table(table)
     if name == "size_minus_one":
         return SizeMinusOneWeight()
-    if name == "merged":
-        return MergedWeight(SizeWeight(), Rule.from_items(table.n_columns, {0: "v0"}))
     if name == "star":
         return StarConstrainedWeight(SizeWeight(), min(1, table.n_columns - 1))
     raise AssertionError(name)
+
+
+def _case(name: str, table):
+    """``(table to mine, weight)``; "merged" is the drill-down lifting,
+    meaningful on the sub-table its parent covers."""
+    if name != "merged":
+        return table, _weighting(name, table)
+    parent = Rule.from_items(table.n_columns, {0: table.categorical(0).decode(0)})
+    return table.filter(cover_mask(parent, table)), MergedWeight(SizeWeight(), parent)
 
 
 def _assert_identical(a, b):
@@ -71,9 +79,9 @@ class TestEngineEquivalence:
     )
     @pytest.mark.parametrize("prune", [True, False])
     def test_weightings_on_tiny_table(self, tiny_table, weighting, prune):
-        wf = _weighting(weighting, tiny_table)
-        scratch = brs(tiny_table, wf, 5, 3.0, prune=prune, engine="scratch")
-        lazy = brs(tiny_table, wf, 5, 3.0, prune=prune, engine="incremental")
+        table, wf = _case(weighting, tiny_table)
+        scratch = brs(table, wf, 5, 3.0, prune=prune, engine="scratch")
+        lazy = brs(table, wf, 5, 3.0, prune=prune, engine="incremental")
         _assert_identical(scratch, lazy)
 
     @pytest.mark.parametrize("max_rule_size", [None, 1, 2])
@@ -145,7 +153,6 @@ class TestEngineEquivalence:
                 cold.count,
                 cold.marginal,
             )
-            from repro.core import cover_mask
 
             mask = cover_mask(cold.rule, tiny_table)
             top[mask] = np.maximum(top[mask], cold.weight)

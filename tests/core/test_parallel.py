@@ -27,6 +27,7 @@ from repro.core import (
     SizeWeight,
     StarConstrainedWeight,
     brs,
+    cover_mask,
     default_pool,
     find_best_marginal_rule,
     resolve_pool,
@@ -52,17 +53,20 @@ def pool2():
         yield pool
 
 
-def _weighting(name: str, table):
+def _case(name: str, table):
+    """``(table to mine, weight)``; "merged" is the drill-down lifting,
+    meaningful on the sub-table its parent covers."""
     if name == "size":
-        return SizeWeight()
+        return table, SizeWeight()
     if name == "bits":
-        return BitsWeight.for_table(table)
+        return table, BitsWeight.for_table(table)
     if name == "size_minus_one":
-        return SizeMinusOneWeight()
+        return table, SizeMinusOneWeight()
     if name == "merged":
-        return MergedWeight(SizeWeight(), Rule.from_items(table.n_columns, {0: "v0"}))
+        parent = Rule.from_items(table.n_columns, {0: table.categorical(0).decode(0)})
+        return table.filter(cover_mask(parent, table)), MergedWeight(SizeWeight(), parent)
     if name == "star":
-        return StarConstrainedWeight(SizeWeight(), min(1, table.n_columns - 1))
+        return table, StarConstrainedWeight(SizeWeight(), min(1, table.n_columns - 1))
     raise AssertionError(name)
 
 
@@ -81,9 +85,9 @@ class TestParallelEquivalence:
         "weighting", ["size", "bits", "size_minus_one", "merged", "star"]
     )
     def test_weight_functions(self, marketing7, weighting, pool2):
-        wf = _weighting(weighting, marketing7)
-        serial = brs(marketing7, wf, 4, 5.0)
-        parallel = brs(marketing7, wf, 4, 5.0, pool=pool2)
+        table, wf = _case(weighting, marketing7)
+        serial = brs(table, wf, 4, 5.0)
+        parallel = brs(table, wf, 4, 5.0, pool=pool2)
         _assert_identical(serial, parallel)
 
     @pytest.mark.parametrize("n_workers", [2, 3])
