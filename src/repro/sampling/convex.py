@@ -7,7 +7,8 @@ a linear function is piecewise-linear, the relaxation is in fact a
 *linear program*, which we also solve exactly with ``scipy``'s HiGHS —
 the LP optimum is the yardstick the subgradient solver is tested
 against, and the quality gap of hinge-vs-step is measured by the
-allocation ablation benchmark.
+allocation ablation benchmark.  ``scipy.optimize`` (~0.5 s) is imported
+inside :func:`solve_lp`, its only user; no serving request reaches it.
 
 Unlike the DP (which assumes leaf-and-parent contributions only), the
 convex form supports a general selectivity matrix: ``ess(ℓ) = Σ_r
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from repro.errors import AllocationError
 from repro.sampling.allocation import GroupSpec
@@ -130,6 +130,8 @@ def solve_lp(problem: ConvexProblem) -> ConvexResult:
     Variables ``[n_1..n_N, z_1..z_L]`` with ``z_ℓ ≤ 1``,
     ``z_ℓ ≤ ess(ℓ)/minSS``, ``Σ n ≤ M``; maximise ``Σ p_ℓ z_ℓ``.
     """
+    from scipy import optimize  # deferred: see module docstring
+
     n, l = len(problem.node_names), len(problem.leaf_names)
     c = np.concatenate([np.zeros(n), -problem.probabilities])
     # z_l - ess(l)/minSS <= 0  →  -S^T/minSS · n + I·z ≤ 0

@@ -201,6 +201,8 @@ class TableCatalog:
     ):
         if sample_budget is not None and sample_budget <= 0:
             raise ServingError("sample_budget must be a positive tuple count")
+        if sample_budget is not None:  # start-up, not a click, pays estimate_count's import
+            import scipy.special  # noqa: F401
         self._sample_budget = sample_budget
         self._sample_seed = int(sample_seed)
         self._sample_dir = Path(sample_dir) if sample_dir is not None else None
@@ -457,7 +459,7 @@ class TableCatalog:
         assert self._marginal_mw is not None
         with self._lock:
             old_marginals = dict(self._marginals.get(name, {}))
-        fingerprint = table_fingerprint(table)
+        fingerprint = None if self._marginal_dir is None else table_fingerprint(table)
         caches: dict[str, FirstPickCache] = {}
         for weighting in self._marginal_weightings:
             wf = self.weight(weighting, table)
@@ -485,15 +487,17 @@ class TableCatalog:
                     continue
                 self._marginals_built += 1
             caches[weighting] = cache
-            path = self._marginal_path(name, weighting)
-            if path is not None:
-                try:
-                    save_first_pick(
-                        cache, path, fingerprint=fingerprint, weighting=weighting
-                    )
-                except OSError:  # pragma: no cover - disk-full etc.
-                    pass
+            self._save_marginal(cache, name, weighting, fingerprint)
         return caches
+
+    def _save_marginal(self, cache: FirstPickCache, name, weighting, fingerprint) -> None:
+        """Best-effort persist under ``marginal_dir``: caches are rebuildable."""
+        path = self._marginal_path(name, weighting)
+        if path is not None:
+            try:
+                save_first_pick(cache, path, fingerprint=fingerprint, weighting=weighting)
+            except OSError:  # pragma: no cover - disk-full etc.
+                pass
 
     def _sample_path(self, name: str) -> Path | None:
         """Persistence path for ``name``'s samples (``None`` = memory only).
@@ -549,7 +553,7 @@ class TableCatalog:
         no cache.
         """
         assert self._marginal_mw is not None
-        fingerprint = table_fingerprint(table)
+        fingerprint = None if self._marginal_dir is None else table_fingerprint(table)
         caches: dict[str, FirstPickCache] = {}
         for weighting in self._marginal_weightings:
             wf = self.weight(weighting, table)
@@ -581,13 +585,7 @@ class TableCatalog:
                 continue
             self._marginals_built += 1
             caches[weighting] = cache
-            if path is not None:
-                try:
-                    save_first_pick(
-                        cache, path, fingerprint=fingerprint, weighting=weighting
-                    )
-                except OSError:  # pragma: no cover - disk-full etc.
-                    pass  # caches are rebuildable; persistence is an optimisation
+            self._save_marginal(cache, name, weighting, fingerprint)
         return caches
 
     def marginals_for(

@@ -245,11 +245,10 @@ class ShardRouter:
             for vnode in range(virtual_nodes)
         )
         self._ring_points = [point for point, _ in self._ring]
-        # Routing state.  _tables keeps the live Table (identity for
-        # idempotent re-registration, columns for the HTTP layer) and
-        # its wire encoding (re-sent verbatim when a shard restarts).
+        # Routing state.  _tables keeps the live Table: identity for idempotent
+        # re-registration, columns for HTTP, the source a respawn re-encodes.
         self._lock = threading.RLock()
-        self._tables: dict[str, tuple[Table, dict]] = {}
+        self._tables: dict[str, Table] = {}
         self._table_versions: dict[str, int] = {}
         self._sessions: dict[str, tuple[int, str]] = {}
         self._closed = False
@@ -410,13 +409,14 @@ class ShardRouter:
         own request lock serialises the pipe."""
         with self._lock:
             owned = [
-                (name, encoded)
-                for name, (_table, encoded) in self._tables.items()
+                (name, table)
+                for name, table in self._tables.items()
                 if self._placement(name) == shard.index
             ]
-        for name, encoded in owned:
+        for name, table in owned:
             try:
-                result = shard.request("register_table", {"name": name, "table": encoded})
+                payload = {"name": name, "table": encode_table(table)}
+                result = shard.request("register_table", payload)
             except (OSError, EOFError):  # pragma: no cover - double crash
                 return
             except ServingError:  # pragma: no cover - one bad table
@@ -664,32 +664,35 @@ class ShardRouter:
         with self._lock:
             if self._closed:
                 raise ServingError("router is closed")
-            held = self._tables.get(name)
-            if held is not None and held[0] is table:
+            if self._tables.get(name) is table:
                 return table  # same-object re-registration is a no-op
-        encoded = encode_table(table)
+        self._send_table("register_table", name, table)
+        return table
+
+    def _send_table(self, verb: str, name: str, table: Table) -> dict:
+        """Ship ``table`` to its shard; keep it (a respawn encodes afresh)."""
         shard = self._shard(self._placement(name))
         result = self._request(
             shard,
-            "register_table",
-            {"name": name, "table": encoded},
+            verb,
+            {"name": name, "table": encode_table(table)},
             use_default=False,  # warm restore may legitimately run long
         )
         with self._lock:
-            self._tables[name] = (table, encoded)
+            self._tables[name] = table
             self._table_versions[name] = int(result.get("version", 1))
             for sid, table_name, _version in result.get("sessions", ()):
                 self._sessions.setdefault(sid, (shard.index, table_name))
-        return table
+        return result
 
     def append_rows(self, name: str, rows) -> dict:
         """Append ``rows`` to ``name`` on its owning shard (a new table
         version; see :meth:`DrillDownServer.append_rows`).
 
         The router mirrors the append locally with the same
-        deterministic :meth:`Table.append_rows`, so the ``(table,
-        encoding)`` it would replay into a restarted shard stays
-        current — a crash after an append warm-restores the *appended*
+        deterministic :meth:`Table.append_rows`, so the table it would
+        replay into a restarted shard stays current at O(batch) per
+        append — a crash after an append warm-restores the *appended*
         table, and pre-append snapshots restore pinned to it only if
         their own version was reaped (they re-pin the latest, exactly
         like a single-process restart).
@@ -712,12 +715,12 @@ class ShardRouter:
         result = self._request(
             shard, "append_rows", {"name": name, "rows": encoded_rows}, use_default=False
         )
-        new_table = held[0].append_rows(normalized)
+        new_table = held.append_rows(normalized)
         with self._lock:
             # Lost-update guard: only advance the mirror if nobody
             # re-registered/replaced the table while the pipe was busy.
-            if self._tables.get(name, (None,))[0] is held[0]:
-                self._tables[name] = (new_table, encode_table(new_table))
+            if self._tables.get(name) is held:
+                self._tables[name] = new_table
                 self._table_versions[name] = int(result["version"])
         return result
 
@@ -727,15 +730,7 @@ class ShardRouter:
         with self._lock:
             if self._closed:
                 raise ServingError("router is closed")
-        encoded = encode_table(table)
-        shard = self._shard(self._placement(name))
-        result = self._request(
-            shard, "replace_table", {"name": name, "table": encoded}, use_default=False
-        )
-        with self._lock:
-            self._tables[name] = (table, encoded)
-            self._table_versions[name] = int(result["version"])
-        return result
+        return self._send_table("replace_table", name, table)
 
     def unregister_table(self, name: str) -> None:
         with self._lock:
@@ -786,7 +781,7 @@ class ShardRouter:
         with self._lock:
             held = self._tables.get(table_name)
         if held is not None:
-            return held[0].column_names
+            return held.column_names
         # Restored session over a table this router never held (e.g.
         # registered by a previous incarnation): ask the shard.
         result = self._session_request(

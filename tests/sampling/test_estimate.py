@@ -81,6 +81,43 @@ class TestEstimateCount:
             estimate_count(s, Rule.trivial(3), confidence=1.5)
 
 
+class TestNormalQuantile:
+    """``estimate_count`` takes its ``z`` from ``scipy.special.ndtri``
+    (imported at first use) instead of ``scipy.stats.norm.ppf``; every
+    interval must stay bit-identical to the ``scipy.stats`` one."""
+
+    @staticmethod
+    def _sample() -> Sample:
+        table = generate_zipf_table(5000, [5], skew=0.8, seed=9)
+        return uniform_sample(table, 500, np.random.default_rng(3))
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+    def test_z_equals_norm_ppf_bit_for_bit(self, monkeypatch, confidence):
+        import scipy.special
+        import scipy.stats
+
+        z = float(scipy.stats.norm.ppf(0.5 + confidence / 2.0))
+        used = []
+        ndtri = scipy.special.ndtri
+        monkeypatch.setattr(
+            scipy.special, "ndtri", lambda q: used.append(float(ndtri(q))) or used[-1]
+        )
+        sample = self._sample()
+        est = estimate_count(sample, Rule(["c0_v0"]), confidence=confidence)
+        assert [u.hex() for u in used] == [z.hex()]
+        x = est.estimate / sample.scale / sample.size
+        half = z * math.sqrt(sample.size * x * (1.0 - x)) * sample.scale
+        assert est.low.hex() == (est.estimate - half).hex()
+        assert est.high.hex() == (est.estimate + half).hex()
+
+    def test_interval_pinned_to_parent_commit(self):
+        """Recorded with ``scipy.stats.norm.ppf`` before the swap."""
+        est = estimate_count(self._sample(), Rule(["c0_v0"]), confidence=0.95)
+        assert est.estimate == 1880.0
+        assert est.low.hex() == "0x1.a0edc28a7f0f7p+10"
+        assert est.high.hex() == "0x1.05891ebac0785p+11"
+
+
 class TestDegenerateDraws:
     """Regressions for the zero-variance edge cases: before the
     continuity correction these intervals collapsed to a single point

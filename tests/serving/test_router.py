@@ -437,23 +437,31 @@ class TestVersionedTables:
     @pytest.mark.versioning
     def test_append_survives_shard_crash(self, rng, tmp_path):
         """The router's local table mirror must track appends: a killed
-        shard is re-registered with the *appended* encoding, so sessions
-        created after the restart see the appended table."""
+        shard is re-registered with the *appended* table (encoded at
+        respawn, not per append), so sessions created after the restart
+        see every appended batch."""
         table = random_table(rng, n_rows=40, n_columns=3, domain=3)
-        extra = [("v0", "v1", "v0"), ("v9", "v9", "v9")]
+        batches = [
+            [("v0", "v1", "v0"), ("v9", "v9", "v9")],
+            [("v1", "v1", "v2"), ("v9", "v0", "v8")],
+            [("v2", "v0", "v0"), ("v7", "v7", "v7")],
+        ]
         with ShardRouter(1, persist_dir=tmp_path) as router:
             router.register_table("t", table)
-            record = router.append_rows("t", extra)
-            assert record["version"] == 2
+            for version, batch in enumerate(batches, start=2):
+                assert router.append_rows("t", batch)["version"] == version
             router._shards[0].process.kill()
             with pytest.raises(ShardDownError):
                 router.render(router.create_session("t", k=2, mw=3.0))
             sid = router.create_session("t", k=2, mw=3.0)
-            children = router.expand(sid)
+            router.expand(sid)
             assert router.stats()["router"]["table_versions"]["t"] >= 1
-            # Parity against a single process over the appended rows.
+            assert router.tree(sid).count == 40 + 3 * 2  # base + 3 × batch
+            # Parity against a never-crashed single process.
             with DrillDownServer() as server:
-                server.register_table("t", table.append_rows(extra))
+                server.register_table("t", table)
+                for batch in batches:
+                    server.append_rows("t", batch)
                 ssid = server.create_session("t", k=2, mw=3.0)
                 server.expand(ssid)
                 assert router.render(sid) == server.render(ssid)
