@@ -3,11 +3,10 @@
 Before versioned tables the only way to grow a registered table was
 ``unregister`` + ``register`` with a freshly built table — a cold
 rebuild of everything the catalog maintains per table: the
-shared-memory pool export, the registration-time first-pick marginal
-cache, and the §4.3 sample set.  ``append_rows`` instead creates a new
-version whose export is grown by copying the old segments and writing
-only the appended tail, whose level-1 marginals are delta-folded in
-O(appended rows), and whose sample set rebuilds lazily once.
+registration-time first-pick marginal cache and the §4.3 sample set.
+``append_rows`` instead creates a new version whose level-1 marginals
+are delta-folded in O(appended rows) and whose sample set rebuilds
+lazily once.
 
 This benchmark drives both maintenance strategies over the same
 append schedule — a seeded categorical table growing by fixed batches
@@ -18,9 +17,8 @@ Asserted (structurally — absolute numbers are machine-dependent):
 * after every batch both arms hold **bit-identical first-pick
   vectors** (the incremental cache equals a cold build over the same
   rows) and identical sample sets;
-* the incremental arm's export really grew in place
-  (``exports_grown`` covers every batch) and its marginals really took
-  the delta path (``marginals_delta`` covers every batch);
+* the incremental arm's marginals really took the delta path
+  (``marginals_delta`` covers every batch);
 * mean incremental append latency beats the full re-register arm.
 
 A JSON perf record is written next to this file
@@ -43,7 +41,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.parallel import CountingPool
 from repro.serving import TableCatalog
 from repro.table import Schema, Table
 
@@ -64,12 +61,6 @@ SEED = 7
 def _make_rows(rng: np.random.Generator, n_rows: int) -> list:
     codes = rng.integers(DOMAIN, size=(n_rows, N_COLUMNS))
     return [tuple(f"v{c}" for c in row) for row in codes]
-
-
-def _lite_pool() -> CountingPool:
-    """Exports are real shared memory; counting stays local, so the
-    timings isolate maintenance cost from worker dispatch noise."""
-    return CountingPool(2, min_table_rows=1, min_task_rows=10**9)
 
 
 def _first_pick_vectors(catalog: TableCatalog, name: str) -> tuple:
@@ -96,11 +87,8 @@ def run_benchmark(base_rows: int, batch_rows: int, n_batches: int) -> dict:
     batches = [_make_rows(rng, batch_rows) for _ in range(n_batches)]
     base = Table.from_rows(schema, all_rows)
 
-    incremental_pool, full_pool = _lite_pool(), _lite_pool()
-    incremental = TableCatalog(
-        pool=incremental_pool, sample_budget=SAMPLE_BUDGET, marginal_mw=MW
-    )
-    full = TableCatalog(pool=full_pool, sample_budget=SAMPLE_BUDGET, marginal_mw=MW)
+    incremental = TableCatalog(sample_budget=SAMPLE_BUDGET, marginal_mw=MW)
+    full = TableCatalog(sample_budget=SAMPLE_BUDGET, marginal_mw=MW)
     incremental_latencies: list[float] = []
     full_latencies: list[float] = []
     vectors_identical = samples_identical = True
@@ -131,8 +119,6 @@ def run_benchmark(base_rows: int, batch_rows: int, n_batches: int) -> dict:
     finally:
         incremental.close()
         full.close()
-        incremental_pool.close()
-        full_pool.close()
 
     def _arm(latencies: list[float]) -> dict:
         ordered = sorted(latencies)
@@ -160,7 +146,6 @@ def run_benchmark(base_rows: int, batch_rows: int, n_batches: int) -> dict:
         "incremental_append": _arm(incremental_latencies),
         "full_reregister": _arm(full_latencies),
         "speedup": round(mean_full / mean_inc, 3),
-        "exports_grown": version_stats["exports_grown"],
         "marginals_delta": version_stats["marginals_delta"],
         "samples_lazy_rebuilt": version_stats["samples_lazy_rebuilt"],
         "identical_first_pick_vectors": vectors_identical,
@@ -180,10 +165,6 @@ def check_record(record: dict) -> None:
     )
     assert record["identical_sample_sets"], (
         "incrementally maintained sample sets diverged from the cold build"
-    )
-    assert record["exports_grown"] == n_batches, (
-        f"only {record['exports_grown']}/{n_batches} appends grew the "
-        "export in place"
     )
     assert record["marginals_delta"] == n_batches, (
         f"only {record['marginals_delta']}/{n_batches} appends took the "

@@ -34,7 +34,6 @@ from repro.core import (
     BitsWeight,
     CallableWeight,
     ColumnIndicatorWeight,
-    CountingPool,
     DrillDownResult,
     MergedWeight,
     ParametricWeight,
@@ -85,7 +84,6 @@ __all__ = [
     "ColumnIndicatorWeight",
     "ColumnKind",
     "ColumnSchema",
-    "CountingPool",
     "DiskTable",
     "DrillDownResult",
     "DrillDownServer",

@@ -19,10 +19,10 @@ operation is flagged:
 * durability — ``fsync``, :meth:`SnapshotStore.save`,
   ``checkpoint_all``
 * lifecycle — ``close`` / ``close_all`` / ``shutdown`` / ``terminate``
-  / ``kill`` (session/pool/process teardown blocks on in-flight work)
+  / ``kill`` (session/process teardown blocks on in-flight work)
 * thread/process — ``join``, ``sleep``, ``acquire`` (nested lock
   acquisition under a held lock is the textbook deadlock shape)
-* pool dispatch — ``run_tasks`` / ``submit`` / ``dispatch_turn``
+* work dispatch — ``run_tasks`` / ``submit`` / ``dispatch_turn``
 
 ``Condition.wait`` is deliberately *not* in the list: waiting on a
 condition built over the held lock releases it (the

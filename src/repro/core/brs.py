@@ -25,12 +25,6 @@ before a search concludes (see :mod:`repro.core.search_cache` for the
 full argument).  Callers may pass an existing ``context`` to amortise
 the cache across multiple BRS runs — the interactive session layer does
 this for repeated expansions of the same drill-down node.
-
-**Parallel counting.**  Either engine's counting passes — dominated by
-the first pick on large tables — can be sharded over a shared-memory
-worker pool with the ``n_workers=``/``pool=`` knobs (see
-:mod:`repro.core.parallel`); the selected rules are identical to the
-serial path.
 """
 
 from __future__ import annotations
@@ -43,7 +37,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.marginal import MarginalResult, SearchStats, find_best_marginal_rule
-from repro.core.parallel import CountingPool, resolve_pool
 from repro.core.rule import Rule, cover_mask
 from repro.core.scoring import RuleList, sort_rules_by_weight
 from repro.core.search_cache import SearchContext
@@ -98,8 +91,6 @@ def brs_iter(
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
     engine: str = "incremental",
-    n_workers: int | None = None,
-    pool: CountingPool | None = None,
     first_pick=None,
 ) -> Iterator[MarginalResult]:
     """Yield greedy picks one at a time (the Section 6.1 streaming mode).
@@ -122,14 +113,6 @@ def brs_iter(
     the same table, weight function, and search parameters.  Invalid
     engines/contexts raise here, not at first iteration.
 
-    ``n_workers``/``pool`` select the shared-memory parallel counting
-    backend (:mod:`repro.core.parallel`) for the underlying searches:
-    ``None``/``1`` counts serially, ``0`` uses every core, ``>= 2``
-    shards counting over that many workers; an explicit ``pool``
-    overrides ``n_workers``.  Picks are identical either way.  When an
-    existing ``context`` is supplied it keeps whatever backend it was
-    built with and these knobs are ignored.
-
     ``first_pick`` threads a registration-time level-1 marginal cache
     (:class:`~repro.core.first_pick.FirstPickCache`) into the search:
     the first pick becomes a heap-build over cached marginals instead
@@ -138,7 +121,6 @@ def brs_iter(
     """
     if engine not in ("incremental", "scratch"):
         raise EngineError(f"unknown search engine {engine!r}")
-    resolved_pool = resolve_pool(pool, n_workers)
     if context is not None:
         context.check_compatible(table, wf, mw, measures, max_rule_size, prune)
     elif engine == "incremental":
@@ -149,7 +131,6 @@ def brs_iter(
             measures=measures,
             max_rule_size=max_rule_size,
             prune=prune,
-            pool=resolved_pool,
             first_pick=first_pick,
         )
 
@@ -171,7 +152,6 @@ def brs_iter(
                     measures=measures,
                     max_rule_size=max_rule_size,
                     prune=prune,
-                    pool=resolved_pool,
                     first_pick=first_pick,
                 )
             if result is None:
@@ -199,8 +179,6 @@ def brs(
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
     engine: str = "incremental",
-    n_workers: int | None = None,
-    pool: CountingPool | None = None,
     first_pick=None,
 ) -> BRSResult:
     """Greedily select up to ``k`` rules maximising ``Score`` (Problem 3).
@@ -230,12 +208,6 @@ def brs(
         Search-engine selection (see :func:`brs_iter`): the cached
         CELF engine by default, ``engine="scratch"`` for one cold
         search per pick, or an existing context to reuse its cache.
-    n_workers, pool:
-        Parallel-counting selection (see :func:`brs_iter`):
-        ``n_workers=None``/``1`` serial, ``0`` all cores, ``>= 2`` a
-        shared-memory worker pool of that size; an explicit ``pool``
-        overrides ``n_workers``.  The selected rules are identical
-        either way.
     """
     picks: list[MarginalResult] = []
     stats = SearchStats()
@@ -251,8 +223,6 @@ def brs(
         initial_top=initial_top,
         context=context,
         engine=engine,
-        n_workers=n_workers,
-        pool=pool,
         first_pick=first_pick,
     ):
         picks.append(result)
@@ -275,8 +245,6 @@ def brs_time_limited(
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
     engine: str = "incremental",
-    n_workers: int | None = None,
-    pool: CountingPool | None = None,
     first_pick=None,
 ) -> BRSResult:
     """Keep adding rules until a wall-clock budget runs out (§6.1).
@@ -288,10 +256,7 @@ def brs_time_limited(
     At least one search is always attempted (a summary with zero rules
     helps nobody); ``max_rules`` optionally caps the count as well.
     The incremental engine stretches the budget: later searches cost a
-    few heap re-evaluations instead of full table passes, and
-    ``n_workers``/``pool`` (see :func:`brs_iter`) shrink the dominant
-    first search by sharding its counting passes over a shared-memory
-    worker pool.
+    few heap re-evaluations instead of full table passes.
     """
     if time_limit_seconds <= 0:
         raise EngineError("time_limit_seconds must be positive")
@@ -308,8 +273,6 @@ def brs_time_limited(
         initial_top=initial_top,
         context=context,
         engine=engine,
-        n_workers=n_workers,
-        pool=pool,
         first_pick=first_pick,
     ):
         picks.append(result)

@@ -47,7 +47,6 @@ import numpy as np
 from repro.core.brs import BRSResult, brs
 from repro.errors import RuleError
 from repro.core.marginal import SearchStats
-from repro.core.parallel import CountingPool, resolve_pool
 from repro.core.rule import Rule, cover_mask
 from repro.core.scoring import RuleList, tuple_measures
 from repro.core.search_cache import SearchContext
@@ -157,9 +156,6 @@ def rule_drilldown(
     prune: bool = True,
     context: SearchContext | None = None,
     engine: str = "incremental",
-    n_workers: int | None = None,
-    pool: CountingPool | None = None,
-    tenant: object = None,
     first_pick=None,
 ) -> DrillDownResult:
     """Expand ``parent`` into its best rule-list of ``k`` super-rules.
@@ -172,14 +168,9 @@ def rule_drilldown(
     Sum aggregation over a numeric column instead of Count.  Passing
     the ``context`` from a previous identical call (any ``k``) skips
     the sub-table filtering and reuses the cached candidate lattice.
-    ``n_workers``/``pool`` select the shared-memory parallel counting
-    backend for the expansion's searches (serial when ``None``/``1``;
-    the mined rules are identical either way); a reused ``context``
-    keeps the backend it was built with.
     """
     if len(parent) != table.n_columns:
         raise RuleError("parent rule arity does not match the table")
-    resolved_pool = resolve_pool(pool, n_workers)
     tag = drilldown_tag(
         "rule", parent, None, measure=measure, wf=wf, mw=mw,
         max_rule_size=max_rule_size, prune=prune,
@@ -196,8 +187,7 @@ def rule_drilldown(
         if engine == "incremental":
             context = SearchContext(
                 subtable, lifted, mw, measures=measures,
-                max_rule_size=max_rule_size, prune=prune, pool=resolved_pool,
-                tenant=tenant, first_pick=first_pick,
+                max_rule_size=max_rule_size, prune=prune, first_pick=first_pick,
             )
             context.source = table
             context.tag = tag
@@ -217,7 +207,6 @@ def rule_drilldown(
         initial_top=seed,
         context=context,
         engine=engine,
-        pool=resolved_pool,
         first_pick=first_pick,
     )
     merged = _merge_with_parent(result.rules, parent)
@@ -244,17 +233,13 @@ def star_drilldown(
     prune: bool = True,
     context: SearchContext | None = None,
     engine: str = "incremental",
-    n_workers: int | None = None,
-    pool: CountingPool | None = None,
-    tenant: object = None,
     first_pick=None,
 ) -> DrillDownResult:
     """Expand the ``?`` in ``column`` of ``parent`` (Section 2.3).
 
     Implements the [Star drill down] reduction: like a rule drill-down,
     but the weight function zeroes rules leaving ``column`` starred, so
-    every returned rule instantiates it.  ``context`` reuse and the
-    ``n_workers``/``pool`` parallel-counting knobs work as in
+    every returned rule instantiates it.  ``context`` reuse works as in
     :func:`rule_drilldown`.
     """
     if isinstance(column, str):
@@ -266,7 +251,6 @@ def star_drilldown(
         )
     if not parent.is_star(column):
         raise RuleError(f"parent rule already instantiates column {column}")
-    resolved_pool = resolve_pool(pool, n_workers)
     tag = drilldown_tag(
         "star", parent, column, measure=measure, wf=wf, mw=mw,
         max_rule_size=max_rule_size, prune=prune,
@@ -284,8 +268,7 @@ def star_drilldown(
         if engine == "incremental":
             context = SearchContext(
                 subtable, constrained, mw, measures=measures,
-                max_rule_size=max_rule_size, prune=prune, pool=resolved_pool,
-                tenant=tenant, first_pick=first_pick,
+                max_rule_size=max_rule_size, prune=prune, first_pick=first_pick,
             )
             context.source = table
             context.tag = tag
@@ -299,7 +282,6 @@ def star_drilldown(
         prune=prune,
         context=context,
         engine=engine,
-        pool=resolved_pool,
         first_pick=first_pick,
     )
     merged = _merge_with_parent(result.rules, parent)

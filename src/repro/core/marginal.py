@@ -46,22 +46,12 @@ it: ``cache_hits`` (marginal re-evaluations served from cached row
 sets) and ``lazy_skips`` (cached candidates a search never had to
 touch, the CELF saving).
 
-**The counting-backend seam.**  The per-parent bincount pairs are
+**The counting primitive.**  The per-parent bincount pairs are
 factored into :func:`repro.core.parallel.count_parent_extensions`,
 the one counting primitive shared by this module, the incremental
-engine, and the worker processes of the shared-memory counting pool
-(:mod:`repro.core.parallel`).  A :class:`_Searcher` given a
-``backend`` (via the public ``pool=``/``n_workers=`` knobs) collects
-each level's (parent, column) tasks and counts them as one batch —
-sharded across workers over a shared immutable code-array region —
-instead of inline; tasks are never split below a whole (parent,
-column) pair, so every bincount accumulates in the serial float order
-and the per-candidate Counts/MarginalValues are bit-identical.  The
-batched pass consults the pruning threshold ``H`` at the start of the
-pass rather than continuously, which can only prune *less*; since the
-bound argument holds for any valid ``H``, the selected rules are
-provably unchanged.  Value-dependent (slow-path) weight functions
-cannot ship a scalar weight to the workers and always count serially.
+engine and the first-pick precompute.  Each surviving parent is
+counted as soon as it is reached, so ``H`` tightens before the next
+parent's prune check.
 """
 
 from __future__ import annotations
@@ -73,13 +63,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.errors import RuleError
-from repro.core.parallel import (
-    CountTask,
-    CountingPool,
-    count_tasks,
-    nonunit_measures,
-    resolve_pool,
-)
+from repro.core.parallel import count_parent_extensions, nonunit_measures
 from repro.core.rule import Rule
 from repro.core.weights import (
     ColumnSetWeight,
@@ -109,10 +93,10 @@ def _extension_weight(
 ) -> float:
     """Fast-path weight shared by every value extension of one task.
 
-    One definition for both engines (and hence the counting backend's
-    task construction) — the bit-identical guarantee requires the
-    weight fed to :func:`repro.core.parallel.count_parent_extensions`
-    to be computed identically everywhere.
+    One definition for both engines' task construction — the
+    bit-identical guarantee requires the weight fed to
+    :func:`repro.core.parallel.count_parent_extensions` to be computed
+    identically everywhere.
     """
     columns = _key_columns(parent_key, cat_positions) + (cat_positions[pos],)
     return fast_weight(tuple(sorted(columns)))
@@ -279,7 +263,6 @@ class _Searcher:
         measures: np.ndarray | None,
         max_rule_size: int | None,
         prune: bool,
-        pool: CountingPool | None = None,
         first_pick=None,
     ):
         self.table = table
@@ -289,9 +272,8 @@ class _Searcher:
         n = table.n_rows
         if top.shape != (n,):
             raise RuleError("top-weight array length must equal table rows")
-        # Normalised once so the serial kernel, the local-fallback
-        # kernel, and the float64 shared-memory segment all see the
-        # same values bit for bit (no-op for float64 input).
+        # Normalised once so every counting call sees the same float64
+        # values (no-op for float64 input).
         self.top = np.asarray(top, dtype=np.float64)
         self.measures = (
             np.ones(n, dtype=np.float64) if measures is None else measures.astype(np.float64)
@@ -313,11 +295,6 @@ class _Searcher:
         limit = len(self._free)
         self.max_rule_size = limit if max_rule_size is None else min(max_rule_size, limit)
         self.fast_weight = _column_set_weight(wf)
-        backend = None
-        if pool is not None and self.fast_weight is not None:
-            # Slow-path weights cannot ship a scalar weight to workers.
-            backend = pool.backend_for(table, self.measures)
-        self.backend = backend
         # Registration-time level-1 marginal cache (repro.core.first_pick):
         # valid only for a Count search over exactly this (table, wf, mw)
         # at the base top (all zeros) — the cold first pick.  Anything
@@ -430,44 +407,37 @@ class _Searcher:
         ]
 
     def _count_extensions(
-        self, parents: list[tuple[_Key, np.ndarray, Sequence[int]]]
-    ) -> list[tuple[_Key, _Entry, np.ndarray]]:
-        """Count all value extensions of every ``(key, rows, positions)`` parent.
+        self, parent_key: _Key, parent_rows: np.ndarray, positions: Sequence[int]
+    ) -> list[tuple[_Key, _Entry]]:
+        """Count all value extensions of one parent on ``positions``.
 
-        Two bincounts per column over a parent's covered rows yield the
-        Count and MarginalValue of every candidate ``parent ∧ (pos=v)``;
-        candidates come back with their parent's rows, in (parent,
-        column, value) order.  The fast path runs through the shared
-        :func:`~repro.core.parallel.count_parent_extensions` — once per
-        parent in process, or fanned out over the counting backend.
+        Two bincounts per column over the parent's covered rows yield the
+        Count and MarginalValue of every candidate ``parent ∧ (pos=v)``,
+        returned in (column, value) order.  The fast path is one call of
+        the shared :func:`~repro.core.parallel.count_parent_extensions`.
         """
-        out: list[tuple[_Key, _Entry, np.ndarray]] = []
+        self.stats.rows_scanned += parent_rows.size * len(positions)
         if self.fast_weight is None:
-            for parent_key, parent_rows, positions in parents:
-                for pos in positions:
-                    self.stats.rows_scanned += parent_rows.size
-                    for key, entry in self._count_extensions_slow(parent_key, parent_rows, pos):
-                        out.append((key, entry, parent_rows))
-            return out
-        tasks: list[CountTask] = []
-        owners: list[tuple[_Key, np.ndarray]] = []
-        for parent_key, parent_rows, positions in parents:
-            rows = None if parent_rows.size == self.table.n_rows else parent_rows
-            for pos in positions:
-                weight = self._ext_weight(parent_key, pos)
-                tasks.append(CountTask(len(tasks), pos, self.distinct[pos], weight, rows))
-                owners.append((parent_key, parent_rows))
-        if self.backend is None:
-            results = count_tasks(self.codes, self._count_measures, self.top, tasks)
-        else:
-            results = self.backend.count_batch(tasks) if tasks else {}
-        for task, (parent_key, parent_rows) in zip(tasks, owners):
-            self.stats.rows_scanned += parent_rows.size
-            for key, entry in self._entries_of(
-                parent_key, task.pos, task.weight, *results[task.task_id]
-            ):
-                out.append((key, entry, parent_rows))
-        return out
+            return [
+                pair
+                for pos in positions
+                for pair in self._count_extensions_slow(parent_key, parent_rows, pos)
+            ]
+        weights = [self._ext_weight(parent_key, pos) for pos in positions]
+        counted = count_parent_extensions(
+            self.codes,
+            positions,
+            [self.distinct[pos] for pos in positions],
+            weights,
+            self._count_measures,
+            self.top,
+            None if parent_rows.size == self.table.n_rows else parent_rows,
+        )
+        return [
+            pair
+            for pos, weight, result in zip(positions, weights, counted)
+            for pair in self._entries_of(parent_key, pos, weight, *result)
+        ]
 
     def _count_extensions_slow(
         self, parent_key: _Key, parent_rows: np.ndarray, pos: int
@@ -518,10 +488,7 @@ class _Searcher:
                 for pair in self._entries_of(empty, pos, *self.first_pick.level1(pos))
             ]
         else:
-            counted = [
-                (key, entry)
-                for key, entry, _rows in self._count_extensions([(empty, all_rows, positions)])
-            ]
+            counted = self._count_extensions(empty, all_rows, positions)
         for key, entry in counted:
             self._offer(key, entry)
         return [(key, all_rows) for key, _entry in counted]
@@ -553,16 +520,9 @@ class _Searcher:
         that does get extended materialises its covered rows from the
         rows its own parent propagated down (see :meth:`_rows_of`) —
         pruned parents never pay for theirs.
-
-        With a counting backend the whole level is counted as one
-        batch: parents are prune-checked against the threshold as of
-        the start of the pass (sound — see the module docstring), their
-        (parent, column) tasks fan out across the pool, and the results
-        are offered in the serial order.
         """
         self.stats.passes += 1
         survivors: list[tuple[_Key, np.ndarray]] = []
-        parents: list[tuple[_Key, np.ndarray, Sequence[int]]] = []
         for parent_key, grandparent_rows in frontier:
             entry = self.counted[parent_key]
             if not entry.extendable:
@@ -578,31 +538,19 @@ class _Searcher:
                 continue
             parent_rows = self._rows_of(parent_key, grandparent_rows)
             self.stats.parents_extended += 1
-            parents.append((parent_key, parent_rows, positions))
-            if self.backend is None:  # serial: H tightens before the next prune check
-                self._offer_children(parents, survivors)
-                parents = []
-        self._offer_children(parents, survivors)
+            # Counted and offered before the next parent's prune check,
+            # so H is as tight as it can be when that check runs.
+            for key, child in self._count_extensions(parent_key, parent_rows, positions):
+                self._offer(key, child)
+                if child.extendable and self.prune:
+                    if self._upper_bound(key) < self.threshold:
+                        child.extendable = False
+                        self.stats.parents_pruned += 1
+                if child.extendable:
+                    survivors.append((key, parent_rows))
         return survivors
 
-    def _offer_children(
-        self,
-        parents: list[tuple[_Key, np.ndarray, Sequence[int]]],
-        survivors: list[tuple[_Key, np.ndarray]],
-    ) -> None:
-        """Count ``parents``' extensions, offer each, keep the extendable ones."""
-        for key, child, parent_rows in self._count_extensions(parents):
-            self._offer(key, child)
-            if child.extendable and self.prune:
-                if self._upper_bound(key) < self.threshold:
-                    child.extendable = False
-                    self.stats.parents_pruned += 1
-            if child.extendable:
-                survivors.append((key, parent_rows))
-
     def run(self) -> MarginalResult | None:
-        if self.backend is not None:
-            self.backend.set_top(self.top)
         frontier = self._first_pass()
         size = 1
         while frontier and size < self.max_rule_size:
@@ -630,8 +578,6 @@ def find_best_marginal_rule(
     measures: np.ndarray | None = None,
     max_rule_size: int | None = None,
     prune: bool = True,
-    n_workers: int | None = None,
-    pool: CountingPool | None = None,
     first_pick=None,
 ) -> MarginalResult | None:
     """Return the rule of weight ≤ ``mw`` with highest marginal value.
@@ -660,18 +606,6 @@ def find_best_marginal_rule(
     prune:
         Disable to measure the value of the a-priori bound (ablation);
         the result is unchanged, only more candidates are explored.
-    n_workers:
-        Parallel counting: ``None`` or ``1`` runs serially (the
-        default), ``0`` uses every core, ``>= 2`` shards the level-wise
-        counting passes over the process-wide shared-memory worker pool
-        (:mod:`repro.core.parallel`).  The selected rule is identical
-        either way; small tables and value-dependent weight functions
-        silently fall back to serial counting.
-    pool:
-        An explicit :class:`~repro.core.parallel.CountingPool` to count
-        through (overrides ``n_workers``); lets callers control worker
-        lifecycle and share one pool — and one shared-memory table
-        export — across searches.
     first_pick:
         Optional :class:`~repro.core.first_pick.FirstPickCache` built
         for exactly ``(table, wf, mw)``: when ``top`` is the base
@@ -682,14 +616,6 @@ def find_best_marginal_rule(
     Returns ``None`` when no rule adds positive marginal value.
     """
     searcher = _Searcher(
-        table,
-        wf,
-        top,
-        mw,
-        measures,
-        max_rule_size,
-        prune,
-        pool=resolve_pool(pool, n_workers),
-        first_pick=first_pick,
+        table, wf, top, mw, measures, max_rule_size, prune, first_pick=first_pick
     )
     return searcher.run()

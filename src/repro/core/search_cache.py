@@ -57,17 +57,6 @@ also agrees.  The two engines therefore produce identical rule
 sequences — the equivalence tests in ``tests/core/test_incremental.py``
 assert this across weight functions, measures, pruning, and size caps.
 
-**Parallel counting.**  The context's counting passes — the size-1
-build (the only full-table passes) and every frontier expansion — run
-through the backend seam of :mod:`repro.core.parallel` when the
-context is given a ``pool``/``n_workers``: tasks fan out over a
-persistent worker pool reading the table's code arrays from a shared
-immutable memory region, with per-task results bit-identical to the
-serial kernel (a task is one whole (parent, column) bincount pair and
-is never split).  The CELF loop itself stays serial — it is already
-nearly free.  Slow-path (value-dependent) weight functions and small
-tables fall back to serial counting automatically.
-
 **Lifecycle and ownership.**  A context is bound to one (table, weight
 function, ``mw``, measures, ``max_rule_size``, ``prune``)
 configuration — it validates compatibility and refuses anything else.
@@ -90,10 +79,7 @@ O(candidates) with no table pass, and the clone's searches cannot
 corrupt (or be corrupted by) the original.  The clone inherits the
 prototype's ``_last_top`` watermark, so its first search correctly
 resets the CELF bounds when its seed ``top`` is lower than the top the
-prototype last searched under.  A context never owns its counting
-pool: the ``pool=`` knob only borrows a backend, and whoever created
-the pool (a session via ``n_workers=``, or a serving
-:class:`~repro.serving.TableCatalog`) closes it.
+prototype last searched under.
 """
 
 from __future__ import annotations
@@ -115,13 +101,7 @@ from repro.core.marginal import (
     _key_columns,
     _key_rule,
 )
-from repro.core.parallel import (
-    CountTask,
-    CountingPool,
-    count_tasks,
-    nonunit_measures,
-    resolve_pool,
-)
+from repro.core.parallel import count_parent_extensions, nonunit_measures
 from repro.core.rule import Rule
 from repro.core.weights import WeightFunction
 from repro.table.column import CategoricalColumn
@@ -168,18 +148,6 @@ class SearchContext:
     ``prune=False`` reproduces the exploration of the unpruned ablation:
     the first search expands the full supported lattice (once — later
     searches reuse it).
-
-    ``n_workers``/``pool`` select the parallel counting backend exactly
-    as in :func:`~repro.core.marginal.find_best_marginal_rule`:
-    ``n_workers`` of ``None``/``1`` counts serially, ``0`` uses every
-    core, ``>= 2`` shards counting passes over the shared-memory worker
-    pool; an explicit ``pool`` overrides ``n_workers`` and ties this
-    context's table export to that pool's lifetime.  The backend
-    changes how fast candidates are counted, never which candidates
-    win — contexts with and without one are interchangeable.
-    ``tenant`` labels the backend's dispatched batches for the pool's
-    optional :class:`~repro.serving.FairScheduler` (fair round-robin
-    across tenants); it has no effect on results.
     """
 
     def __init__(
@@ -191,16 +159,12 @@ class SearchContext:
         measures: np.ndarray | None = None,
         max_rule_size: int | None = None,
         prune: bool = True,
-        n_workers: int | None = None,
-        pool: CountingPool | None = None,
-        tenant: Any = None,
         first_pick: Any = None,
     ):
         self.table = table
         self.wf = wf
         self.mw = float(mw)
         self.prune = prune
-        self.tenant = tenant
         n = table.n_rows
         self._measures_given = measures is not None
         self.measures = (
@@ -224,13 +188,6 @@ class SearchContext:
         self.max_rule_size = limit if max_rule_size is None else min(max_rule_size, limit)
         self._requested_max_rule_size = max_rule_size
         self.fast_weight = _column_set_weight(wf)
-        backend = None
-        if self.fast_weight is not None:
-            # Slow-path weights cannot ship a scalar weight to workers.
-            resolved = resolve_pool(pool, n_workers)
-            if resolved is not None:
-                backend = resolved.backend_for(table, self.measures, tenant=tenant)
-        self.backend = backend
         # Registration-time level-1 marginal cache (repro.core.first_pick):
         # valid only for a Count search over exactly this (table, wf, mw).
         # The remaining condition — top elementwise equal to the base
@@ -302,12 +259,7 @@ class SearchContext:
 
     # -- cloning (cross-session sharing seam) ----------------------------------
 
-    def clone(
-        self,
-        *,
-        pool: CountingPool | None = None,
-        tenant: Any = None,
-    ) -> "SearchContext":
+    def clone(self) -> "SearchContext":
         """Return an independent context sharing this one's cached lattice.
 
         The clone is safe to search concurrently with (and mutate
@@ -323,11 +275,6 @@ class SearchContext:
         seed ``top`` is below the prototype's last-searched ``top``,
         which the clone inherits as its monotonicity watermark).
 
-        ``pool``/``tenant`` select the clone's counting backend — a
-        clone never inherits the prototype's backend object, because a
-        backend's staged ``top`` is single-owner state.  With
-        ``pool=None`` the clone counts serially.
-
         This is the seam :class:`repro.serving.ContextStore` shares
         read-compatible contexts across tenant sessions on: the store
         keeps a frozen clone as the prototype and leases a fresh clone
@@ -340,7 +287,6 @@ class SearchContext:
         new.wf = self.wf
         new.mw = self.mw
         new.prune = self.prune
-        new.tenant = tenant
         new._measures_given = self._measures_given
         new.measures = self.measures
         new._count_measures = self._count_measures
@@ -352,12 +298,6 @@ class SearchContext:
         new._requested_max_rule_size = self._requested_max_rule_size
         new.fast_weight = self.fast_weight
         new._row_dtype = self._row_dtype
-        backend = None
-        if self.fast_weight is not None:
-            resolved = resolve_pool(pool, None)
-            if resolved is not None:
-                backend = resolved.backend_for(self.table, self.measures, tenant=tenant)
-        new.backend = backend
         new.first_pick = self.first_pick
         new._top_is_base = False
         # Mutable per-candidate state: copied (row arrays shared — they
@@ -474,14 +414,11 @@ class SearchContext:
         of materialising their own (see :meth:`_rows`).
 
         On the fast path the parent's per-column tasks are counted by
-        one :func:`~repro.core.parallel.count_parent_extensions` call —
-        in process, or wherever the counting backend sends them (small
-        tasks still run locally; the backend decides per task).  That
-        one primitive is what keeps this engine in lockstep with
-        ``_Searcher`` in :mod:`repro.core.marginal` *and* with the
-        worker processes — the engines' bit-identical guarantee depends
-        on it, and the equivalence suites
-        (``tests/core/test_incremental.py``,
+        one :func:`~repro.core.parallel.count_parent_extensions` call.
+        That one primitive is what keeps this engine in lockstep with
+        ``_Searcher`` in :mod:`repro.core.marginal` — the engines'
+        bit-identical guarantee depends on it, and the equivalence
+        suites (``tests/core/test_incremental.py``,
         ``tests/core/test_parallel.py``) pin it.
         """
         if self.fast_weight is None:
@@ -490,20 +427,19 @@ class SearchContext:
             return
         if not positions:
             return
-        rows = None if parent_rows.size == self.table.n_rows else parent_rows
-        tasks = [
-            CountTask(i, pos, self.distinct[pos], self._ext_weight(parent_key, pos), rows)
-            for i, pos in enumerate(positions)
-        ]
-        if self.backend is None:
-            results = count_tasks(self.codes, self._count_measures, self._top, tasks)
-        else:
-            results = self.backend.count_batch(tasks)
-        for task in tasks:
-            stats.rows_scanned += parent_rows.size
-            self._insert_children(
-                parent_key, parent_rows, task.pos, task.weight, *results[task.task_id], stats
-            )
+        weights = [self._ext_weight(parent_key, pos) for pos in positions]
+        counted = count_parent_extensions(
+            self.codes,
+            positions,
+            [self.distinct[pos] for pos in positions],
+            weights,
+            self._count_measures,
+            self._top,
+            None if parent_rows.size == self.table.n_rows else parent_rows,
+        )
+        stats.rows_scanned += parent_rows.size * len(positions)
+        for pos, weight, result in zip(positions, weights, counted):
+            self._insert_children(parent_key, parent_rows, pos, weight, *result, stats)
 
     def _generate_slow(
         self, parent_key: _Key, parent_rows: np.ndarray, pos: int, stats: SearchStats
@@ -558,12 +494,7 @@ class SearchContext:
                 heapq.heappush(self._xheap, (-cand.heap_ub, size, key))
 
     def _build(self, stats: SearchStats) -> None:
-        """Generate the size-1 level (the only full-table passes ever made).
-
-        With a counting backend, the per-column full-table passes — the
-        dominant first-pick cost on large tables — are dispatched to
-        the worker pool as one batch.
-        """
+        """Generate the size-1 level (the only full-table passes ever made)."""
         all_rows = np.arange(self.table.n_rows, dtype=self._row_dtype)
         if self.first_pick is not None and self._top_is_base:
             # Heap-build over the registration-time level-1 cache: the
@@ -745,10 +676,9 @@ class SearchContext:
         """
         if top.shape != (self.table.n_rows,):
             raise RuleError("top-weight array length must equal table rows")
-        # Normalised once so the serial kernel, the local-fallback
-        # kernel, and the float64 shared-memory segment all see the
-        # same values bit for bit (no-op for float64 input, preserving
-        # the identity comparison against _last_top below).
+        # Normalised once so every counting call sees the same float64
+        # values (no-op for float64 input, preserving the identity
+        # comparison against _last_top below).
         top = np.asarray(top, dtype=np.float64)
         stats = SearchStats()
         stats.passes += 1
@@ -763,8 +693,6 @@ class SearchContext:
         # vector (all zeros): cached marginals are the kernel's output
         # at exactly that top.
         self._top_is_base = self.first_pick is not None and not top.any()
-        if self.backend is not None:
-            self.backend.set_top(top)
         self._epoch += 1
         self._refreshed = 0
         self._generated_this_epoch = 0

@@ -165,8 +165,8 @@ class DeadlineExceededError(ServingError):
     """A request's deadline expired before the serving tier finished it.
 
     Raised on every layer of the deadline spine: admission (a budget
-    already spent by earlier calls), the session-entry lock, the fair
-    scheduler's dispatch queue, and the shard pipe (a worker that
+    already spent by earlier calls), the session-entry lock, and the
+    shard pipe (a worker that
     missed its reply window — the router kills and restarts it).  Maps
     to HTTP 503 with a ``Retry-After`` header: the tier is healthy or
     recovering, and the same request may well fit a fresh deadline.

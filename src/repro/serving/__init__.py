@@ -1,24 +1,22 @@
-"""Multi-tenant serving tier: one process, many tenants, one export.
+"""Multi-tenant serving tier: one process, many tenants, shared tables.
 
-The per-session machinery (incremental
-:class:`~repro.core.search_cache.SearchContext`, shared-memory
-:class:`~repro.core.parallel.CountingPool`) already lets many sessions
-mine one immutable table export; this package is the tier that
+The per-session machinery (the incremental
+:class:`~repro.core.search_cache.SearchContext`) already lets many
+sessions mine one immutable table; this package is the tier that
 multiplexes *tenants* on top of it:
 
 * :class:`TableCatalog` — register tables as versioned records
-  (:class:`TableVersion`), export each version to the shared pool once,
-  grow exports and level-1 marginal caches incrementally under
-  ``append_rows``, and reap superseded versions when their last pinned
-  session closes;
+  (:class:`TableVersion`), grow level-1 marginal caches incrementally
+  under ``append_rows``, and reap superseded versions when their last
+  pinned session closes;
 * :class:`SessionRegistry` — create/lookup/expire
   :class:`~repro.session.DrillDownSession`\\ s per tenant (TTL + LRU,
   eviction-safe ``close()``);
 * :class:`ContextStore` — share read-compatible search contexts across
   sessions with identical (table, weighting, ``mw``) configurations,
   copy-on-first-expand;
-* :class:`FairScheduler` — per-tenant token budgets and round-robin
-  dispatch on the pool's task queue;
+* :class:`FairScheduler` — per-tenant token budgets (and a round-robin
+  turn primitive);
 * :class:`SnapshotStore` + :class:`ReaperThread`
   (:mod:`repro.serving.persistence`) — durable session trees
   (versioned JSON-lines snapshots, atomic writes, warm restart) and
@@ -42,7 +40,7 @@ multiplexes *tenants* on top of it:
   health sweeps that kill and restart wedged workers, and the
   deterministic fault-injection seam the chaos drills are built on;
   per-request deadlines thread from the HTTP ``X-Deadline`` header
-  down to scheduler queue entry.
+  to the per-session lock wait and the shard request.
 
 See docs/SERVING.md for topology, tenancy semantics, budget knobs,
 durability, fault tolerance, and a curl walkthrough.

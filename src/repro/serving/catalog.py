@@ -1,19 +1,10 @@
-"""The table catalog: versioned, append-able tables over one shared pool.
+"""The table catalog: versioned, append-able tables.
 
 A :class:`TableCatalog` is the serving tier's source of truth for
 tables.  Tenants refer to tables by name; the catalog holds the
-:class:`~repro.table.Table` objects (keeping them — and therefore
-their shared-memory exports — alive for as long as they are served)
-and owns the one :class:`~repro.core.parallel.CountingPool` every
-tenant session counts through.
-
-Registration is the only moment a whole table's data moves: with a
-usable pool, :meth:`TableCatalog.register` eagerly places the table's
-dictionary-encoded code arrays and measures into the pool's shared
-immutable region, so the first tenant's first expansion pays no export
-cost and the hundredth tenant shares the same bytes.  Every individual
-``Table`` object stays immutable (`Table` has no mutating API), which
-is what makes one export safe to serve to everyone.
+:class:`~repro.table.Table` objects for as long as they are served.
+Every individual ``Table`` object stays immutable (`Table` has no
+mutating API), which is what makes one table safe to serve to everyone.
 
 *Names*, however, are versioned (the commits+refs shape of dataset
 versioning): :meth:`register` creates version 1 and
@@ -21,11 +12,8 @@ versioning): :meth:`register` creates version 1 and
 An append extends the dictionary-encoded code arrays under the
 prefix-preserving invariant (:meth:`repro.table.table.Table.append_rows`),
 so the catalog can maintain the expensive per-table structures
-incrementally instead of rebuilding them cold: the pool export is
-grown by one copy of the resident segment
-(:meth:`~repro.core.parallel.CountingPool.append_export`), the
-first-pick marginal vectors get delta bincounts over only the appended
-rows (:func:`~repro.core.first_pick.extend_first_pick_cache`,
+incrementally instead of rebuilding them cold: the first-pick marginal
+vectors get delta bincounts over only the appended rows (:func:`~repro.core.first_pick.extend_first_pick_cache`,
 bit-identical to a cold rebuild), a §4.3 reservoir keeps a uniform
 fresh sample current in O(appended), and the deterministic sample set
 — whose delta cannot be maintained without perturbing seeded draws —
@@ -33,14 +21,8 @@ is rebuilt *lazily* on next access and its persisted file
 re-fingerprinted.  Sessions pin the version they started on (they hold
 the ``Table`` object; nothing the catalog does ever mutates it), new
 sessions get the latest version, and a superseded version is reaped —
-export unlinked, weight registry purged — when its last pinned session
-closes (:meth:`unpin`).
-
-Ownership: the catalog owns a pool it *created* (``n_workers=``) and
-closes it — terminating workers and unlinking every export — in
-:meth:`TableCatalog.close`; a pool passed in via ``pool=`` is borrowed
-and left running.  Individual sessions never close the catalog's pool
-(see :mod:`repro.session.session`).
+weight registry purged — when its last pinned session closes
+(:meth:`unpin`).
 """
 
 from __future__ import annotations
@@ -60,7 +42,6 @@ from repro.core.first_pick import (
     build_first_pick_cache,
     extend_first_pick_cache,
 )
-from repro.core.parallel import CountingPool
 from repro.core.weights import (
     BitsWeight,
     SizeMinusOneWeight,
@@ -104,8 +85,7 @@ class TableVersion:
     """One live version of a registered table name.
 
     ``pins`` counts the live sessions mining exactly this version; a
-    superseded version is reaped (export unlinked, weight-registry
-    entries purged) when its last pin is released.  ``appended`` is the
+    superseded version is reaped (weight-registry entries purged) when its last pin is released.  ``appended`` is the
     row count the creating :meth:`TableCatalog.append_rows` added
     (``0`` for register / replace versions).
     """
@@ -130,26 +110,16 @@ class TableVersion:
 
 
 class TableCatalog:
-    """Named registry of immutable tables over one shared counting pool.
+    """Named registry of immutable, versioned tables.
 
     Parameters
     ----------
-    pool:
-        An existing :class:`~repro.core.parallel.CountingPool` to serve
-        every registered table through (borrowed — not closed by
-        :meth:`close`).
-    n_workers:
-        When no ``pool`` is given: ``None``/``1`` serves serially (no
-        pool, no exports), ``0`` builds a catalog-owned pool over every
-        core, ``>= 2`` over that many workers.  A catalog-owned pool is
-        closed by :meth:`close`.
     sample_budget:
         When set (> 0), :meth:`register` also pre-builds a
         :class:`~repro.serving.TableSampleSet` for the table — uniform
         + per-column stratified samples totalling this many tuples,
-        split by the §4.1 allocation DP — and exports the sample
-        tables to the pool alongside the exact arrays.  Approximate
-        expansions then mine these samples (:meth:`samples_for`).
+        split by the §4.1 allocation DP.  Approximate expansions then
+        mine these samples (:meth:`samples_for`).
     sample_seed:
         Base seed for sample draws; each table's effective seed is
         :func:`~repro.serving.samples.derive_seed` of its name, so
@@ -188,8 +158,6 @@ class TableCatalog:
     def __init__(
         self,
         *,
-        pool: CountingPool | None = None,
-        n_workers: int | None = None,
         sample_budget: int | None = None,
         sample_seed: int = 0,
         sample_dir: str | os.PathLike | None = None,
@@ -246,17 +214,6 @@ class TableCatalog:
                     self.cleaned_tmp += 1
                 except OSError:  # pragma: no cover - racing cleaner
                     pass
-        if pool is not None:
-            self._pool: CountingPool | None = pool
-            self._owns_pool = False
-        elif n_workers is not None and n_workers != 1:
-            # Not resolve_pool(): that returns the process-wide shared
-            # default pool, and a catalog wants sole ownership.
-            self._pool = CountingPool(n_workers)
-            self._owns_pool = True
-        else:
-            self._pool = None
-            self._owns_pool = False
         self._tables: dict[str, Table] = {}
         # Version records: name -> latest version number, plus one
         # TableVersion per *live* version — the latest, and any
@@ -291,7 +248,7 @@ class TableCatalog:
     # -- registration ------------------------------------------------------------
 
     def register(self, name: str, table: Table) -> Table:
-        """Register ``table`` under ``name`` (version 1) and export it.
+        """Register ``table`` under ``name`` (version 1).
 
         Idempotent for the same object (re-registering the identical
         table is a no-op returning it); a *different* table under an
@@ -299,10 +256,7 @@ class TableCatalog:
         :class:`~repro.errors.TableConflictError` — the catalog never
         swaps data out from under live sessions implicitly.  Growth is
         explicit: :meth:`append_rows` extends the table as a new
-        version, :meth:`replace_table` swaps it wholesale.  The
-        shared-memory export (when a usable pool exists and the table
-        is large enough to benefit) happens here, once, so no tenant
-        pays it later.
+        version, :meth:`replace_table` swaps it wholesale.
         """
         if not name:
             raise ServingError("table name must be non-empty")
@@ -331,21 +285,11 @@ class TableCatalog:
                     version=version, table=table
                 )
                 self._versions_created += 1
-            if self._pool is not None:
-                # Eager export: backend_for creates (or reuses) the table's
-                # shared region; the backend object itself is discarded.
-                self._pool.backend_for(table)
             if self._sample_budget is not None:
                 samples = self._build_or_load_samples(name, table)
                 with self._lock:
                     self._samples[name] = samples
                     self._fresh[name] = self._new_reservoir(name, table)
-                if self._pool is not None:
-                    # Approximate expansions mine the sample tables, so they
-                    # are exported alongside the exact arrays (small enough
-                    # that the pool may serve them serially anyway).
-                    for sample in samples.samples:
-                        self._pool.backend_for(sample.table)
             if self._marginal_mw is not None:
                 marginals = self._build_or_load_marginals(name, table)
                 with self._lock:
@@ -357,8 +301,7 @@ class TableCatalog:
 
         The incremental-maintenance path: the new version's table
         extends the old one under the dictionary-prefix invariant, the
-        pool export is built by one grow-and-copy of the resident
-        segment, the first-pick marginal vectors get delta bincounts
+        first-pick marginal vectors get delta bincounts
         over only the appended rows (bit-identical to a cold rebuild;
         any cache whose delta cannot be maintained — e.g. a ``bits``
         weighting over a dictionary that grew — is rebuilt cold), the
@@ -388,7 +331,7 @@ class TableCatalog:
         """Swap ``name``'s data wholesale as a new table version.
 
         No append relation is assumed, so every per-table structure is
-        rebuilt cold (export, marginal caches, freshness reservoir) or
+        rebuilt cold (marginal caches, freshness reservoir) or
         marked for lazy rebuild (the deterministic sample set).  Pinned
         sessions keep the version they started on, exactly as for
         :meth:`append_rows`.
@@ -420,9 +363,6 @@ class TableCatalog:
         """Install ``table`` as ``name``'s next version (under
         ``_version_lock``).  ``old`` non-``None`` marks the append
         relation and enables every incremental path."""
-        if self._pool is not None:
-            if old is None or not self._pool.append_export(old, table):
-                self._pool.backend_for(table)
         if self._marginal_mw is not None:
             marginals = self._maintain_marginals(name, table, old)
         if self._sample_budget is not None:
@@ -690,9 +630,6 @@ class TableCatalog:
                 self._samples[name] = samples
                 self._stale_samples.discard(name)
                 self._samples_lazy_rebuilt += 1
-        if self._pool is not None:
-            for sample in samples.samples:
-                self._pool.backend_for(sample.table)
         return samples
 
     def fresh_sample(self, name: str) -> tuple[int, ...] | None:
@@ -763,8 +700,7 @@ class TableCatalog:
 
         When that was the last pin and the version is dead — superseded
         by a newer one, or its name unregistered — the version is
-        reaped: record dropped, pool export unlinked, weight-registry
-        entries purged, and (once no version of the name survives
+        reaped: record dropped, weight-registry entries purged, and (once no version of the name survives
         anywhere) persisted artifacts purged.  Returns the reaped
         :class:`~repro.table.Table` so the caller can drop its own
         derived state (e.g. context prototypes), else ``None``.
@@ -781,8 +717,8 @@ class TableCatalog:
         return record.table
 
     def _reap(self, name: str, record: TableVersion) -> None:
-        """Reap one dead version: drop its record, unlink its export,
-        purge its weight-registry entries; purge persisted artifacts
+        """Reap one dead version: drop its record, purge its
+        weight-registry entries; purge persisted artifacts
         once the name has no surviving version at all."""
         table = record.table
         with self._lock:
@@ -791,8 +727,6 @@ class TableCatalog:
             purge = name not in self._tables and not any(
                 key[0] == name for key in self._records
             )
-        if self._pool is not None:
-            self._pool.drop_export(table)
         with self._weights_lock:
             for key in [
                 k for k, (held, _wf) in self._weights.items() if held is table
@@ -841,7 +775,8 @@ class TableCatalog:
                 "marginals_delta": self._marginals_delta,
                 "samples_lazy_rebuilt": self._samples_lazy_rebuilt,
                 "artifacts_purged": self._artifacts_purged,
-                "exports_grown": 0 if self._pool is None else self._pool.exports_grown,
+                # Always 0 (nothing is exported); benchmarks/e2e/metrics.py reads it.
+                "exports_grown": 0,
                 "tables": tables,
             }
 
@@ -849,9 +784,8 @@ class TableCatalog:
         """Forget ``name``, reap its unpinned versions, and purge its
         persisted artifacts.
 
-        Versions still pinned by open sessions survive as records —
-        their exports stay linked, so those sessions are unaffected —
-        and are reaped when their last pin is released.  Unpinned
+        Versions still pinned by open sessions survive as records — so
+        those sessions are unaffected — and are reaped when their last pin is released.  Unpinned
         versions (including the latest) are reaped immediately;
         reaping the last surviving version also deletes the name's
         persisted sample/marginal files.
@@ -905,16 +839,10 @@ class TableCatalog:
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())
 
-    @property
-    def pool(self) -> CountingPool | None:
-        """The shared counting pool (``None`` = this catalog serves serially)."""
-        return self._pool
-
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Drop every table and close a catalog-owned pool (workers +
-        exports).  A borrowed pool is left running.  Idempotent."""
+        """Drop every table.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
@@ -928,9 +856,6 @@ class TableCatalog:
             self._stale_samples.clear()
         with self._weights_lock:
             self._weights.clear()
-        if self._pool is not None and self._owns_pool:
-            self._pool.close()
-        self._pool = None
 
     def __enter__(self) -> "TableCatalog":
         return self
@@ -940,4 +865,4 @@ class TableCatalog:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"
-        return f"TableCatalog(tables={len(self._tables)}, pool={self._pool!r}, {state})"
+        return f"TableCatalog(tables={len(self._tables)}, {state})"

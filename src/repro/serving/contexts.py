@@ -34,9 +34,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any
 
-from repro.core.parallel import CountingPool
 from repro.core.search_cache import SearchContext
 from repro.table.table import Table
 
@@ -62,23 +60,14 @@ class ContextStore:
     def _key(table: Table, tag: tuple) -> tuple:
         # Table identity, not equality: served tables are registered
         # objects, and two equal-valued tables still have distinct
-        # (incompatible) filtered sub-tables and exports.
+        # (incompatible) filtered sub-tables.
         return (id(table), tag)
 
-    def lease(
-        self,
-        table: Table,
-        tag: tuple,
-        *,
-        pool: CountingPool | None = None,
-        tenant: Any = None,
-    ) -> SearchContext | None:
+    def lease(self, table: Table, tag: tuple) -> SearchContext | None:
         """A private clone of the prototype for ``(table, tag)``, or ``None``.
 
         The clone is exclusively the caller's: mutating it (searching
         through it) never touches the prototype or any other lease.
-        ``pool``/``tenant`` bind the clone's counting backend (see
-        :meth:`SearchContext.clone`).
         """
         with self._lock:
             prototype = self._prototypes.get(self._key(table, tag))
@@ -89,7 +78,7 @@ class ContextStore:
             self.hits += 1
         # Prototypes are frozen (never searched), so cloning outside the
         # lock is safe even with concurrent leases.
-        return prototype.clone(pool=pool, tenant=tenant)
+        return prototype.clone()
 
     def publish(self, table: Table, tag: tuple, context: SearchContext) -> bool:
         """Offer ``context`` as the prototype for ``(table, tag)``.
@@ -102,7 +91,7 @@ class ContextStore:
         with self._lock:
             if key in self._prototypes:
                 return False
-        snapshot = context.clone()  # detached: no backend, fresh stats
+        snapshot = context.clone()  # detached: fresh stats
         with self._lock:
             if key in self._prototypes:  # lost a publish race: identical anyway
                 return False

@@ -7,8 +7,7 @@ about it (see docs/SERVING.md for when to put a real ASGI gateway in
 front instead).  The handler is threaded
 (:class:`http.server.ThreadingHTTPServer`), which is exactly the
 concurrency the tier is built for: per-session locks serialise one
-tenant's clicks, the shared pool and fair scheduler interleave
-different tenants' counting.
+tenant's clicks while different tenants' requests run side by side.
 
 Endpoints (all bodies JSON)::
 
@@ -494,9 +493,6 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description="smart drill-down serving tier")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8080)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="counting-pool workers (default: serial; "
-                             "with --shards: per shard)")
     parser.add_argument("--shards", type=int, default=0,
                         help="serve through N shard worker processes "
                              "(default 0: one in-process tier)")
@@ -566,7 +562,6 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
 
     tier_kwargs = dict(
-        n_workers=args.workers,
         max_sessions=args.max_sessions,
         ttl_seconds=args.ttl,
         tenant_budget=args.budget,
@@ -592,10 +587,10 @@ def main(argv: list[str] | None = None) -> None:
             breaker_cooldown=args.breaker_cooldown,
             **tier_kwargs,
         )
-        topology = f"shards={args.shards}, workers/shard={args.workers or 1}"
+        topology = f"shards={args.shards}"
     else:
         tier = DrillDownServer(**tier_kwargs)
-        topology = f"workers={args.workers or 1}"
+        topology = "in-process"
     httpd = serve(
         tier,
         host=args.host,

@@ -21,13 +21,10 @@ safe while an expansion is in flight (see
 :mod:`repro.session.session`); a closed tenant mid-expand gets its
 result back, and the *next* call raises
 :class:`~repro.errors.SessionClosedError` / ``UnknownSessionError``.
-Closing a session never touches the catalog's shared pool or its
-exports — sessions only borrow them.
 
 **Locking discipline.**  Victims are popped from the table under the
-registry ``_lock`` but *closed after it is released* — ``close()`` can
-block (an in-flight expansion defers an owned pool's release) and may
-fire an ``on_close``/:attr:`on_evict` callback that re-enters the
+registry ``_lock`` but *closed after it is released* — ``close()``
+may fire an ``on_close``/:attr:`on_evict` callback that re-enters the
 registry; closing under the lock would stall every tenant's lookup
 behind one eviction and invites deadlock.  :meth:`close` and
 :meth:`close_all` always worked this way; :meth:`add` and TTL expiry

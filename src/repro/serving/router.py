@@ -1,8 +1,7 @@
 """The sharded serving router: one stateless front, N worker tiers.
 
 One :class:`~repro.serving.DrillDownServer` process tops out at what
-one address space holds — its shared-memory exports, its counting
-pool, its GIL.  The :class:`ShardRouter` is the ROADMAP's next step
+one address space holds — its tables, its caches, its GIL.  The :class:`ShardRouter` is the ROADMAP's next step
 ("sharding catalogs across processes behind a router"): it spawns N
 worker processes, each a *complete* serving tier
 (:mod:`repro.serving.shard`), and routes the same facade API over a
@@ -11,7 +10,7 @@ session state beyond two maps — which is the point:
 
 * **Table placement** is consistent hashing over the table *name*
   (sha1-based, stable across restarts and router instances), so a
-  table's catalog entry, pool export, context prototypes, and every
+  table's catalog entry, marginal caches, context prototypes, and every
   session over it live together on one shard, and re-registering after
   any restart lands on the same shard — which is what lines warm
   restore up with each shard's own ``persist_dir`` subdirectory.
@@ -98,7 +97,7 @@ class ShardRouter:
         Worker-process count.  ``1`` is a legitimate deployment (it
         moves serving out of the caller's process) and the equivalence
         baseline the tests lean on.
-    n_workers, max_sessions, ttl_seconds, tenant_budget,
+    max_sessions, ttl_seconds, tenant_budget,
     refill_per_second, share_contexts, max_context_prototypes,
     sample_budget, sample_seed, default_approx, default_error_target,
     checkpoint_interval, reaper_interval:
@@ -155,7 +154,6 @@ class ShardRouter:
         self,
         n_shards: int = 2,
         *,
-        n_workers: int | None = None,
         max_sessions: int | None = 64,
         ttl_seconds: float | None = None,
         tenant_budget: float | None = None,
@@ -218,7 +216,6 @@ class ShardRouter:
         self.wedge_kills = 0
         self.watchdog: ShardWatchdog | None = None
         self._base_kwargs = dict(
-            n_workers=n_workers,
             max_sessions=max_sessions,
             ttl_seconds=ttl_seconds,
             tenant_budget=tenant_budget,

@@ -1,4 +1,4 @@
-"""Fair pool scheduling: per-tenant token budgets + round-robin dispatch.
+"""Fair scheduling: per-tenant token budgets + round-robin turns.
 
 Two independent fairness mechanisms, one class:
 
@@ -10,21 +10,14 @@ Two independent fairness mechanisms, one class:
   :class:`~repro.errors.TenantBudgetError` immediately — a throttled
   tenant gets a clear retry-able error, never a queue it silently
   starves in.  ``capacity=None`` (the default) means unmetered.
-* **Round-robin dispatch** — installed as
-  :attr:`~repro.core.parallel.CountingPool.scheduler`, the
-  :meth:`FairScheduler.dispatch_turn` context manager gates the
-  *submission* of every batch a counting backend ships to the worker
-  pool (computation overlaps; only queue entry is ordered).  Turns
-  rotate across tenants with waiting batches (FIFO within a tenant),
-  so a tenant fanning out a deep drill-down queues one batch per turn
-  and cannot monopolise the work queue while another tenant's first
-  pick waits.
+* **Round-robin turns** — the :meth:`FairScheduler.dispatch_turn`
+  context manager hands out one turn at a time, rotating across
+  tenants with waiting callers (FIFO within a tenant), with an
+  optional deadline on the wait.  The serving tier counts in process
+  and no longer calls it; it stays a tested primitive.
 
-Budget charging and dispatch gating deliberately live at different
-levels: budgets meter *expansions* (the user-visible unit of work, so
-small-table serial fallbacks are metered too), while turn-taking
-orders *worker batches* (the unit of pool contention).  Neither
-mechanism ever changes results — only when, or whether, work runs.
+Neither mechanism ever changes results — only when, or whether, work
+runs.
 """
 
 from __future__ import annotations
@@ -234,16 +227,13 @@ class FairScheduler:
     def dispatch_turn(
         self, tenant: Any, *, deadline_at: float | None = None
     ) -> Iterator[None]:
-        """Hold the dispatch turn while one worker batch is *submitted*.
+        """Hold the one dispatch turn for the duration of the block.
 
-        Installed on a :class:`~repro.core.parallel.CountingPool` as its
-        ``scheduler``, this wraps every batch's entry into the worker
-        queue (not its computation — the caller releases the turn
-        before awaiting results, so tenants' batches overlap in the
-        pool).  One submission happens at a time; when several tenants
-        contend, turns rotate tenant-by-tenant (FIFO within a tenant),
-        so a backlog from one tenant delays its *own* next batch, not
-        every other tenant's first.
+        The serving tier no longer calls this (counting runs in the
+        request's own thread).  One holder at a time; when several
+        tenants contend, turns rotate tenant-by-tenant (FIFO within a
+        tenant), so a backlog from one tenant delays its *own* next
+        turn, not every other tenant's first.
 
         ``deadline_at`` (absolute, in this scheduler's clock) bounds
         the queue wait: a ticket still waiting at the deadline is
@@ -269,7 +259,7 @@ class FairScheduler:
                     self.deadline_aborts += 1
                     raise DeadlineExceededError(
                         f"tenant {tenant!r} waited past its deadline for a "
-                        "dispatch turn — the batch was never submitted",
+                        "dispatch turn",
                         retry_after=1.0,
                     )
                 self._cond.wait(timeout=remaining)

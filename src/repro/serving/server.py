@@ -2,14 +2,13 @@
 
 :class:`DrillDownServer` composes the serving subsystem —
 
-* a :class:`~repro.serving.TableCatalog` (tables registered once,
-  exported once, one shared :class:`~repro.core.parallel.CountingPool`),
+* a :class:`~repro.serving.TableCatalog` (versioned tables registered
+  once, with their samples and first-pick marginal caches),
 * a :class:`~repro.serving.SessionRegistry` (TTL + LRU session
   lifecycle per tenant),
 * a :class:`~repro.serving.ContextStore` (cross-session reuse of
   identical candidate lattices, copy-on-first-expand),
-* a :class:`~repro.serving.FairScheduler` (per-tenant token budgets,
-  round-robin batch dispatch on the pool),
+* a :class:`~repro.serving.FairScheduler` (per-tenant token budgets),
 * optionally a :class:`~repro.serving.persistence.SnapshotStore` +
   :class:`~repro.serving.persistence.ReaperThread` (``persist_dir=``:
   durable session trees, warm restart, background TTL expiry and
@@ -23,8 +22,8 @@ facade, so anything reachable over the wire is reachable — and tested —
 in process.
 
 Results are identical to standalone sessions: the catalog, store, and
-scheduler only change *where bytes live* and *when work runs*, never
-which rules win (pinned by ``tests/serving/test_server.py``).
+scheduler only change what is shared and who may run, never which
+rules win (pinned by ``tests/serving/test_server.py``).
 
 Weight functions are resolved through a per-server registry
 (``"size"``, ``"bits"``, ``"size_minus_one"``), so every tenant asking
@@ -40,7 +39,6 @@ import threading
 import time
 from typing import Callable
 
-from repro.core.parallel import CountingPool, deadline_scope
 from repro.core.rule import Rule
 from repro.core.weights import WeightFunction
 from repro.errors import (
@@ -74,11 +72,6 @@ class DrillDownServer:
 
     Parameters
     ----------
-    pool, n_workers:
-        The shared counting pool, forwarded to
-        :class:`~repro.serving.TableCatalog` (an explicit ``pool`` is
-        borrowed; ``n_workers >= 2`` builds a catalog-owned one;
-        default serves serially).
     max_sessions, ttl_seconds:
         Session-registry knobs (LRU capacity, idle expiry).
     tenant_budget, refill_per_second:
@@ -153,12 +146,11 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
     default_deadline:
         Relative per-request deadline in seconds applied when a call
         does not pass its own ``deadline=``; ``None`` (default) never
-        bounds.  The deadline spine covers admission, the per-session
-        entry lock, and the fair scheduler's dispatch queue; an abort
-        raises :class:`~repro.errors.DeadlineExceededError` (HTTP 503
-        + ``Retry-After``) and refunds the expansion's budget charge.
-        A batch already submitted to pool workers runs to completion —
-        the deadline bounds waiting, not compute in flight.
+        bounds.  In process a deadline bounds admission and the wait
+        for the per-session entry lock (:meth:`SessionEntry.hold`) and
+        nothing else: mining that has started runs to completion.  An
+        abort raises :class:`~repro.errors.DeadlineExceededError` (HTTP
+        503 + ``Retry-After``) and refunds the expansion's budget charge.
     chaos:
         Optional in-process :class:`~repro.serving.faults.ChaosPolicy`
         applied to expansions (``wedge``/``delay`` sleep, ``error``
@@ -171,8 +163,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
     def __init__(
         self,
         *,
-        pool: CountingPool | None = None,
-        n_workers: int | None = None,
         max_sessions: int | None = 64,
         ttl_seconds: float | None = None,
         tenant_budget: float | None = None,
@@ -216,8 +206,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
             else None
         )
         self.catalog = TableCatalog(
-            pool=pool,
-            n_workers=n_workers,
             sample_budget=sample_budget,
             sample_seed=sample_seed,
             sample_dir=sample_dir,
@@ -243,8 +231,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
             default_refill_per_second=refill_per_second,
             clock=clock,
         )
-        if self.catalog.pool is not None:
-            self.catalog.pool.scheduler = self.scheduler
         self._clock = clock
         self._wall_clock = wall_clock
         self._closed = False
@@ -288,9 +274,8 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
                 )
                 self.reaper.start()
         except BaseException:
-            # The catalog (and its owned pool: worker processes +
-            # shared-memory exports) is already live; a half-built
-            # server the caller never sees must not leak it.
+            # The catalog is already live; a half-built server the
+            # caller never sees must not leak it.
             self.catalog.close()
             raise
         self.started_at = self._wall_clock()
@@ -298,7 +283,7 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
     # -- tables ------------------------------------------------------------------
 
     def register_table(self, name: str, table: Table) -> Table:
-        """Register (and export, once) a table for every tenant to mine.
+        """Register a table for every tenant to mine.
 
         With ``persist_dir``, this is also the warm-restart trigger:
         any on-disk session snapshots naming ``name`` are restored over
@@ -319,8 +304,7 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         trees, contexts, and estimates stay bit-identical — while
         sessions created after this call mine the grown table.  The
         expensive per-table structures are maintained incrementally
-        (export grow-and-copy, delta first-pick bincounts, reservoir
-        freshness; see :meth:`TableCatalog.append_rows`).  Returns the
+        (delta first-pick bincounts, reservoir freshness; see :meth:`TableCatalog.append_rows`).  Returns the
         new version's summary (``version``, ``rows``, ``appended``).
         """
         if self._closed:
@@ -355,7 +339,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
                     snapshot.state,
                     wf=wf,
                     tenant=snapshot.tenant,
-                    pool=self.catalog.pool,
                     context_store=self.contexts,
                     samples=self.catalog.samples_for(name),
                     default_approx=self.default_approx,
@@ -437,15 +420,15 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
     ) -> str:
         """Open a drill-down session for ``tenant`` over a catalog table.
 
-        The session borrows the catalog's pool (one export serves every
-        tenant) and, when enabled, the shared context store.  Returns
-        the session id clients address every later call with.
+        The session borrows the catalog's samples and first-pick cache
+        and, when enabled, the shared context store.  Returns the
+        session id clients address every later call with.
         """
         if self._closed:
             raise ServingError("server is closed")
         self._resolve_deadline(deadline)
         # New sessions pin the latest version; the pin holds the version
-        # record (and so its export) alive until the session leaves the
+        # record alive until the session leaves the
         # registry, even across later appends and unregisters.
         record = self.catalog.pin(table)
         source = record.table
@@ -456,7 +439,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
                 k=k,
                 mw=mw,
                 measure=measure,
-                pool=self.catalog.pool,
                 context_store=self.contexts,
                 tenant=tenant,
                 samples=self.catalog.samples_for(table),
@@ -546,22 +528,19 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         expansion *rejected before any table work* — rule not displayed
         or already expanded, invalid ``k``, unknown column, session
         closed underneath us, a deadline that expired waiting for the
-        entry lock or a dispatch turn: every typed
-        :class:`~repro.errors.ReproError` the validation and deadline
-        layers raise pre-mining — refunds the charge, so failed and
-        deadline-aborted requests never burn a tenant's budget.  An
-        *infrastructure* failure mid-mining (a dead worker, a
+        entry lock: every typed :class:`~repro.errors.ReproError` the
+        validation and deadline layers raise pre-mining — refunds the
+        charge, so failed and deadline-aborted requests never burn a
+        tenant's budget.  An *infrastructure* failure mid-mining (a
         ``MemoryError``: anything non-``ReproError``) keeps the charge:
         the counting pass the budget meters already scanned rows.
 
         The per-session ``expansions`` counter and ``dirty`` flag are
         updated under ``entry.lock`` — the entry is shared across the
         threaded HTTP front end's request threads, and an unlocked
-        read-modify-write loses updates.  With a deadline, the lock
-        acquire itself is bounded (:meth:`SessionEntry.hold`) and the
-        deadline rides the thread-local
-        :func:`~repro.core.parallel.deadline_scope` down into the fair
-        scheduler's dispatch gate.
+        read-modify-write loses updates.  A deadline bounds admission and
+        the lock acquire (:meth:`SessionEntry.hold`) and nothing else:
+        once the lock is held, mining runs to completion.
         """
         deadline_at = self._resolve_deadline(deadline)
         self._apply_chaos(op)
@@ -570,8 +549,7 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         self.scheduler.charge(entry.tenant, cost)
         try:
             with entry.hold(deadline_at, self._clock):
-                with deadline_scope(deadline_at):
-                    children = operation(entry.session)
+                children = operation(entry.session)
                 entry.expansions += 1
                 entry.dirty = True
         except ReproError as exc:
@@ -801,7 +779,7 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         """Orphan cleanup: an evicted/closed session's snapshot goes
         too, and its table-version pin is released — when that was the
         last pin on a superseded (or unregistered) version, the version
-        is reaped: export unlinked, artifacts purged, context
+        is reaped: artifacts purged, context
         prototypes dropped (via :attr:`TableCatalog.on_reap`).
 
         Fired for TTL expiry, LRU eviction, and explicit closes — but
@@ -840,7 +818,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         }
 
     def stats(self) -> dict:
-        pool = self.catalog.pool
         return {
             "uptime_seconds": round(self._wall_clock() - self.started_at, 3),
             "default_deadline": self.default_deadline,
@@ -855,21 +832,13 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
             "scheduler": self.scheduler.stats(),
             "contexts": None if self.contexts is None else self.contexts.stats(),
             "persistence": self._persistence_stats(),
-            "pool": None
-            if pool is None
-            else {
-                "n_workers": pool.n_workers,
-                "usable": pool.usable,
-                "exports": pool.export_count(),
-            },
         }
 
     def close(self) -> None:
         """Shut the tier down gracefully: stop the reaper, checkpoint
         every dirty session (so a warm restart over the same
         ``persist_dir`` resumes exactly here), then close every session
-        and the catalog (and its pool + exports, when catalog-owned).
-        Idempotent."""
+        and the catalog.  Idempotent."""
         if self._closed:
             return
         self._closed = True

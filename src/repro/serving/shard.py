@@ -3,7 +3,7 @@
 A sharded deployment (:mod:`repro.serving.router`) runs N worker
 processes, each hosting its own complete
 :class:`~repro.serving.DrillDownServer` — catalog, registry, context
-store, scheduler, counting pool, and (optionally) snapshot store +
+store, scheduler, and (optionally) snapshot store +
 reaper.  This module is everything that runs *inside* one such worker
 and the protocol both sides speak:
 

@@ -19,19 +19,8 @@ past the handler's memory budget, and a swapped sample invalidates
 them anyway.  :meth:`DrillDownSession.clear_search_cache` drops the
 retained ones to reclaim memory.
 
-Sessions built with ``n_workers >= 2`` (or a shared ``pool=``) mine
-their expansions through the shared-memory parallel counting backend
-(:mod:`repro.core.parallel`).
+**Ownership and lifecycle.**
 
-**Ownership and lifecycle.**  Who closes what:
-
-* A session built with ``n_workers >= 2`` *owns* its
-  :class:`~repro.core.parallel.CountingPool` and releases the workers
-  and shared-memory exports in :meth:`DrillDownSession.close` (or the
-  context-manager exit).  A pool passed in via ``pool=`` — the
-  multi-tenant pattern, where a
-  :class:`~repro.serving.TableCatalog` owns one pool for every
-  tenant — is only borrowed and is never closed by the session.
 * Search contexts retained by the session (``_search_contexts``) are
   session-owned and dropped on close.  When a ``context_store=`` is
   supplied (the serving tier's
@@ -43,9 +32,8 @@ their expansions through the shared-memory parallel counting backend
   each other.
 * :meth:`close` is idempotent and safe to call from another thread —
   e.g. a registry evicting this session — while an expansion is in
-  flight: the in-flight operation completes (an owned pool's release
-  is deferred until it drains), and every *later* mutating call
-  raises :class:`~repro.errors.SessionClosedError`.  ``on_close=``
+  flight: the in-flight operation completes, and every *later*
+  mutating call raises :class:`~repro.errors.SessionClosedError`.  ``on_close=``
   registers a callback fired exactly once on the first close, which
   the serving registry uses for eviction bookkeeping.
 """
@@ -66,7 +54,6 @@ from repro.core.drilldown import (
     star_drilldown,
     traditional_drilldown,
 )
-from repro.core.parallel import CountingPool
 from repro.core.rule import Rule
 from repro.core.scoring import ScoredRule
 from repro.core.search_cache import SearchContext
@@ -212,18 +199,6 @@ class DrillDownSession:
         SampleHandler settings (disk sources only).
     prefetch:
         Pre-fetch samples for new leaves after each expansion (§4.3).
-    n_workers:
-        Parallel counting for expansions: ``None`` or ``1`` (the
-        default) mines serially; ``0`` uses every core; ``>= 2`` spins
-        up a session-owned shared-memory
-        :class:`~repro.core.parallel.CountingPool` of that many
-        workers, released by :meth:`close` (the session is also a
-        context manager).  Expansions are identical either way.
-    pool:
-        An existing :class:`~repro.core.parallel.CountingPool` to share
-        (e.g. one pool serving many sessions — the multi-tenant
-        pattern).  Overrides ``n_workers``; a shared pool is *not*
-        closed by :meth:`close`.
     context_store:
         Optional cross-session :class:`~repro.serving.ContextStore`.
         In-memory sessions then lease cached candidate lattices built
@@ -233,9 +208,7 @@ class DrillDownSession:
         are private clones; results are identical with or without a
         store.
     tenant:
-        Opaque tenant label forwarded to the counting backend so a
-        shared pool's :class:`~repro.serving.FairScheduler` (when
-        installed) can round-robin dispatch across tenants.
+        Opaque tenant label, carried in :meth:`snapshot`.
     samples:
         Optional pre-built :class:`~repro.serving.TableSampleSet` over
         the *same* table, enabling approximate expansions
@@ -276,8 +249,6 @@ class DrillDownSession:
         allocator: str = "dp",
         rng: np.random.Generator | None = None,
         prefetch: bool = True,
-        n_workers: int | None = None,
-        pool: CountingPool | None = None,
         context_store: Any = None,
         tenant: Any = None,
         samples: Any = None,
@@ -315,17 +286,6 @@ class DrillDownSession:
         self._on_close = on_close
         self._closed = False
         self._state_lock = threading.Lock()
-        self._inflight = 0
-        self._deferred_pool: CountingPool | None = None
-        if pool is not None:
-            self._pool: CountingPool | None = pool
-            self._owns_pool = False
-        elif n_workers is not None and n_workers != 1:
-            self._pool = CountingPool(n_workers)
-            self._owns_pool = True
-        else:
-            self._pool = None
-            self._owns_pool = False
         if isinstance(source, DiskTable):
             self._disk: DiskTable | None = source
             self._table: Table | None = None
@@ -411,21 +371,8 @@ class DrillDownSession:
 
     def _begin_op(self) -> None:
         """Enter a mutating operation; reject it on a closed session."""
-        with self._state_lock:
-            if self._closed:
-                raise SessionClosedError("session is closed")
-            self._inflight += 1
-
-    def _end_op(self) -> None:
-        """Leave a mutating operation; run any close deferred behind it."""
-        release = None
-        with self._state_lock:
-            self._inflight -= 1
-            if self._closed and self._inflight == 0 and self._deferred_pool is not None:
-                release = self._deferred_pool
-                self._deferred_pool = None
-        if release is not None:
-            release.close()
+        if self._closed:
+            raise SessionClosedError("session is closed")
 
     def _lease_context(
         self, cache_key: tuple, tag: tuple, source: Table | None = None
@@ -444,10 +391,7 @@ class DrillDownSession:
             and self._context_store is not None
             and self.handler is None
         ):
-            context = self._context_store.lease(
-                self._table if source is None else source,
-                tag, pool=self._pool, tenant=self.tenant,
-            )
+            context = self._context_store.lease(self._table if source is None else source, tag)
         return context
 
     def _retain_context(
@@ -665,38 +609,33 @@ class DrillDownSession:
         ``error_target`` decision boundary.
         """
         self._begin_op()
-        try:
-            node = self._expandable_node(rule)
-            k = self.k if k is None else _validated_k(k)
-            use_approx, target = self._resolve_approx(approx, error_target)
-            cache_key = ("rule", rule, None)
-            tag = drilldown_tag(
-                "rule", rule, None, measure=self.measure, wf=self.wf, mw=self.mw
-            )
-            if use_approx:
-                def mine(table: Table, context: "SearchContext | None"):
-                    return rule_drilldown(
-                        table, rule, self.wf, k, self.mw, measure=self.measure,
-                        context=context, pool=self._pool, tenant=self.tenant,
-                    )
+        node = self._expandable_node(rule)
+        k = self.k if k is None else _validated_k(k)
+        use_approx, target = self._resolve_approx(approx, error_target)
+        cache_key = ("rule", rule, None)
+        tag = drilldown_tag(
+            "rule", rule, None, measure=self.measure, wf=self.wf, mw=self.mw
+        )
+        if use_approx:
+            def mine(table: Table, context: "SearchContext | None"):
+                return rule_drilldown(
+                    table, rule, self.wf, k, self.mw, measure=self.measure, context=context
+                )
 
-                return self._run_approx(node, rule, k, "rule", target, cache_key, tag, mine)
-            io_before = self._disk.io_stats.simulated_seconds if self._disk else 0.0
-            start = time.perf_counter()
-            mined, scale, method, sample_size = self._acquire(rule)
-            result = rule_drilldown(
-                mined, rule, self.wf, k, self.mw, measure=self.measure,
-                context=self._lease_context(cache_key, tag), pool=self._pool,
-                tenant=self.tenant, first_pick=self._marginals,
-            )
-            self._retain_context(cache_key, tag, result.context)
-            children = self._attach(node, result.rule_list.entries, scale, "rule")
-            wall = time.perf_counter() - start
-            self._record(rule, "rule", k, wall, method, sample_size, scale, io_before)
-            self._prefetch(node)
-            return children
-        finally:
-            self._end_op()
+            return self._run_approx(node, rule, k, "rule", target, cache_key, tag, mine)
+        io_before = self._disk.io_stats.simulated_seconds if self._disk else 0.0
+        start = time.perf_counter()
+        mined, scale, method, sample_size = self._acquire(rule)
+        result = rule_drilldown(
+            mined, rule, self.wf, k, self.mw, measure=self.measure,
+            context=self._lease_context(cache_key, tag), first_pick=self._marginals,
+        )
+        self._retain_context(cache_key, tag, result.context)
+        children = self._attach(node, result.rule_list.entries, scale, "rule")
+        wall = time.perf_counter() - start
+        self._record(rule, "rule", k, wall, method, sample_size, scale, io_before)
+        self._prefetch(node)
+        return children
 
     def expand_star(
         self,
@@ -709,53 +648,48 @@ class DrillDownSession:
     ) -> list[SessionNode]:
         """Smart drill-down on a ``?`` cell of ``rule`` (§2.3)."""
         self._begin_op()
-        try:
-            node = self._expandable_node(rule)
-            k = self.k if k is None else _validated_k(k)
-            use_approx, target = self._resolve_approx(approx, error_target)
-            if use_approx:
-                assert self._table is not None
-                resolved_column = (
-                    self._table.schema.index_of(column) if isinstance(column, str) else column
-                )
-                cache_key = ("star", rule, resolved_column)
-                tag = drilldown_tag(
-                    "star", rule, resolved_column,
-                    measure=self.measure, wf=self.wf, mw=self.mw,
-                )
-
-                def mine(table: Table, context: "SearchContext | None"):
-                    return star_drilldown(
-                        table, rule, resolved_column, self.wf, k, self.mw,
-                        measure=self.measure, context=context, pool=self._pool,
-                        tenant=self.tenant,
-                    )
-
-                return self._run_approx(node, rule, k, "star", target, cache_key, tag, mine)
-            io_before = self._disk.io_stats.simulated_seconds if self._disk else 0.0
-            start = time.perf_counter()
-            mined, scale, method, sample_size = self._acquire(rule)
+        node = self._expandable_node(rule)
+        k = self.k if k is None else _validated_k(k)
+        use_approx, target = self._resolve_approx(approx, error_target)
+        if use_approx:
+            assert self._table is not None
             resolved_column = (
-                mined.schema.index_of(column) if isinstance(column, str) else column
+                self._table.schema.index_of(column) if isinstance(column, str) else column
             )
             cache_key = ("star", rule, resolved_column)
             tag = drilldown_tag(
                 "star", rule, resolved_column,
                 measure=self.measure, wf=self.wf, mw=self.mw,
             )
-            result = star_drilldown(
-                mined, rule, resolved_column, self.wf, k, self.mw, measure=self.measure,
-                context=self._lease_context(cache_key, tag), pool=self._pool,
-                tenant=self.tenant, first_pick=self._marginals,
-            )
-            self._retain_context(cache_key, tag, result.context)
-            children = self._attach(node, result.rule_list.entries, scale, "star")
-            wall = time.perf_counter() - start
-            self._record(rule, "star", k, wall, method, sample_size, scale, io_before)
-            self._prefetch(node)
-            return children
-        finally:
-            self._end_op()
+
+            def mine(table: Table, context: "SearchContext | None"):
+                return star_drilldown(
+                    table, rule, resolved_column, self.wf, k, self.mw,
+                    measure=self.measure, context=context
+                )
+
+            return self._run_approx(node, rule, k, "star", target, cache_key, tag, mine)
+        io_before = self._disk.io_stats.simulated_seconds if self._disk else 0.0
+        start = time.perf_counter()
+        mined, scale, method, sample_size = self._acquire(rule)
+        resolved_column = (
+            mined.schema.index_of(column) if isinstance(column, str) else column
+        )
+        cache_key = ("star", rule, resolved_column)
+        tag = drilldown_tag(
+            "star", rule, resolved_column,
+            measure=self.measure, wf=self.wf, mw=self.mw,
+        )
+        result = star_drilldown(
+            mined, rule, resolved_column, self.wf, k, self.mw, measure=self.measure,
+            context=self._lease_context(cache_key, tag), first_pick=self._marginals,
+        )
+        self._retain_context(cache_key, tag, result.context)
+        children = self._attach(node, result.rule_list.entries, scale, "star")
+        wall = time.perf_counter() - start
+        self._record(rule, "star", k, wall, method, sample_size, scale, io_before)
+        self._prefetch(node)
+        return children
 
     def expand_traditional(
         self,
@@ -768,55 +702,49 @@ class DrillDownSession:
     ) -> list[SessionNode]:
         """Classic OLAP drill-down on one column (Figure 4)."""
         self._begin_op()
-        try:
-            node = self._expandable_node(rule)
-            if k is not None:
-                k = _validated_k(k)
-            use_approx, target = self._resolve_approx(approx, error_target)
-            if use_approx:
-                def mine(table: Table, context: Any):
-                    # Traditional drill-down has no incremental context;
-                    # the lease/retain around it degrades to a no-op.
-                    return traditional_drilldown(
-                        table, rule, column, measure=self.measure, k=k
-                    )
-
-                return self._run_approx(
-                    node, rule, k, "traditional", target,
-                    ("traditional", rule, column), None, mine,
+        node = self._expandable_node(rule)
+        if k is not None:
+            k = _validated_k(k)
+        use_approx, target = self._resolve_approx(approx, error_target)
+        if use_approx:
+            def mine(table: Table, context: Any):
+                # Traditional drill-down has no incremental context;
+                # the lease/retain around it degrades to a no-op.
+                return traditional_drilldown(
+                    table, rule, column, measure=self.measure, k=k
                 )
-            io_before = self._disk.io_stats.simulated_seconds if self._disk else 0.0
-            start = time.perf_counter()
-            mined, scale, method, sample_size = self._acquire(rule)
-            result = traditional_drilldown(mined, rule, column, measure=self.measure, k=k)
-            children = self._attach(node, result.rule_list.entries, scale, "traditional")
-            wall = time.perf_counter() - start
-            self._record(
-                rule, "traditional", k or len(children), wall, method, sample_size, scale, io_before
+
+            return self._run_approx(
+                node, rule, k, "traditional", target,
+                ("traditional", rule, column), None, mine,
             )
-            self._prefetch(node)
-            return children
-        finally:
-            self._end_op()
+        io_before = self._disk.io_stats.simulated_seconds if self._disk else 0.0
+        start = time.perf_counter()
+        mined, scale, method, sample_size = self._acquire(rule)
+        result = traditional_drilldown(mined, rule, column, measure=self.measure, k=k)
+        children = self._attach(node, result.rule_list.entries, scale, "traditional")
+        wall = time.perf_counter() - start
+        self._record(
+            rule, "traditional", k or len(children), wall, method, sample_size, scale, io_before
+        )
+        self._prefetch(node)
+        return children
 
     def collapse(self, rule: Rule) -> None:
         """Undo an expansion — the paper's roll-up equivalent (§2.3)."""
         self._begin_op()
-        try:
-            node = self.node(rule)
-            if not node.children:
-                raise SessionError(f"rule {rule} is not expanded")
+        node = self.node(rule)
+        if not node.children:
+            raise SessionError(f"rule {rule} is not expanded")
 
-            def forget(n: SessionNode) -> None:
-                for child in n.children:
-                    forget(child)
-                    self._nodes.pop(child.rule, None)
-                n.children = []
+        def forget(n: SessionNode) -> None:
+            for child in n.children:
+                forget(child)
+                self._nodes.pop(child.rule, None)
+            n.children = []
 
-            forget(node)
-            node.expanded_via = None
-        finally:
-            self._end_op()
+        forget(node)
+        node.expanded_via = None
 
     def clear_search_cache(self) -> None:
         """Drop all retained incremental-search contexts.
@@ -826,11 +754,6 @@ class DrillDownSession:
         memory (cached candidate row sets) in a long session.
         """
         self._search_contexts.clear()
-
-    @property
-    def pool(self) -> CountingPool | None:
-        """The parallel counting pool serving this session (None = serial)."""
-        return self._pool
 
     # -- durability (snapshot / replay) --------------------------------------------
 
@@ -848,8 +771,8 @@ class DrillDownSession:
         Deliberately **not** captured: search contexts (rebuilt, or
         re-leased from a :class:`~repro.serving.ContextStore`, on the
         first expansion after restore — the engine is deterministic, so
-        results are identical either way), the pool, and the sample
-        handler's in-memory samples.
+        results are identical either way) and the sample handler's
+        in-memory samples.
 
         The caller must serialise against concurrent mutation — the
         serving tier snapshots under its per-session entry lock.
@@ -880,8 +803,7 @@ class DrillDownSession:
         ``source`` must hold the same data the snapshot was taken over
         (the snapshot stores no table rows); ``wf`` must be the same
         weighting configuration.  Remaining keyword arguments
-        (``pool=``, ``context_store=``, ``n_workers=``, ``on_close=``,
-        ...) are forwarded to the constructor.  The restored session's
+        (``context_store=``, ``samples=``, ``on_close=``, ...) are forwarded to the constructor.  The restored session's
         :meth:`to_text` is bit-identical to the snapshotted one, and —
         same engine, contexts rebuilt or store-leased — so are the rule
         lists of every subsequent expansion.
@@ -957,18 +879,11 @@ class DrillDownSession:
     def close(self) -> None:
         """Close the session: idempotent, thread-safe, eviction-safe.
 
-        Releases the retained search contexts and — if this session
-        created its own :class:`~repro.core.parallel.CountingPool` (the
-        ``n_workers`` constructor knob) — the pool's workers and
-        shared-memory table exports.  A pool passed in via ``pool=`` is
-        shared (typically catalog-owned) and left running, exports
-        intact, for the sessions still using it.
-
-        Safe to call any number of times and from any thread, including
-        a registry evicting this session while an expansion is in
-        flight on another thread: the in-flight operation completes
-        (an owned pool's release is deferred until it drains), the
-        ``on_close`` callback fires exactly once, and every subsequent
+        Releases the retained search contexts.  Safe to call any number
+        of times and from any thread, including a registry evicting
+        this session while an expansion is in flight on another thread:
+        the in-flight operation completes, the ``on_close`` callback
+        fires exactly once, and every subsequent
         mutating call raises
         :class:`~repro.errors.SessionClosedError`.  Read-only accessors
         (:meth:`displayed`, :meth:`to_text`, ...) keep working on the
@@ -978,14 +893,7 @@ class DrillDownSession:
             if self._closed:
                 return
             self._closed = True
-            pool, self._pool = self._pool, None
-            release = pool if (pool is not None and self._owns_pool) else None
-            if release is not None and self._inflight > 0:
-                self._deferred_pool = release  # drained by _end_op
-                release = None
         self.clear_search_cache()
-        if release is not None:
-            release.close()
         if self._on_close is not None:
             callback, self._on_close = self._on_close, None
             callback(self)
@@ -1005,10 +913,7 @@ class DrillDownSession:
         applied, so callers can surface "count corrected" feedback.
         """
         self._begin_op()
-        try:
-            return self._refresh_exact_counts()
-        finally:
-            self._end_op()
+        return self._refresh_exact_counts()
 
     def _refresh_exact_counts(self) -> dict[Rule, float]:
         nodes = [n for n in self.displayed() if not n.rule.is_trivial]

@@ -78,7 +78,7 @@ class CategoricalColumn:
         encoded at once, so an append is bit-identical (codes *and*
         dictionary) to a cold re-encode of old+new.  This is the
         invariant the versioned catalog's incremental maintenance
-        (export grow, first-pick delta bincounts) rests on.
+        (first-pick delta bincounts) rests on.
         """
         values = list(self._values)
         value_to_code = dict(self._value_to_code)

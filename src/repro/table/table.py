@@ -33,10 +33,7 @@ class Table:
         same length.
     """
 
-    # __weakref__ lets the parallel counting layer key shared-memory
-    # exports to a table's lifetime (repro.core.parallel) without
-    # pinning the table in memory.
-    __slots__ = ("_schema", "_columns", "_n_rows", "__weakref__")
+    __slots__ = ("_schema", "_columns", "_n_rows")
 
     def __init__(self, schema: Schema, columns: Sequence[Column]):
         columns = tuple(columns)
@@ -276,12 +273,9 @@ class Table:
     def categorical_code_arrays(self) -> tuple[np.ndarray, ...]:
         """Code arrays of every categorical column, in schema position order.
 
-        The arrays are the columns' own read-only buffers (zero-copy) —
-        this is the export surface the shared-memory counting backend
-        (:mod:`repro.core.parallel`) places into its immutable region,
-        and it is ordered identically to
-        ``schema.categorical_indexes``, which the mining engines index
-        by categorical *position*.
+        The arrays are the columns' own read-only buffers (zero-copy),
+        ordered identically to ``schema.categorical_indexes``, which the
+        mining engines index by categorical *position*.
         """
         return tuple(
             self.categorical(idx).codes for idx in self._schema.categorical_indexes

@@ -1,12 +1,12 @@
-"""Equivalence + lifecycle tests for the shared-memory counting pool.
+"""The shared counting primitive and its in-process compatibility names.
 
-The parallel backend (:mod:`repro.core.parallel`) must produce
-*bit-identical* rule lists, weights, counts, and marginals to the
-serial engines across weight functions, engines, and worker counts —
-a task is one whole (parent, column) bincount pair, so not even float
-accumulation order may differ.  The lifecycle half covers the serial
-fallbacks (``n_workers=1``, small tables, slow-path weights, closed
-pools) and shared-memory cleanup on pool/session close.
+:func:`~repro.core.parallel.count_parent_extensions` is the one place
+Counts and MarginalValues are computed, so both engines and the
+first-pick precompute agree bit for bit, and what searches report
+through it must match a recount over each pick's cover mask;
+``CountingPool`` /
+``backend_for`` / ``count_columns`` survive only as names outside
+callers bind to, and must return exactly what :func:`count_tasks` does.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.core import (
     BitsWeight,
     CallableWeight,
-    CountingPool,
     MergedWeight,
     Rule,
     SearchContext,
@@ -28,278 +27,19 @@ from repro.core import (
     StarConstrainedWeight,
     brs,
     cover_mask,
-    default_pool,
     find_best_marginal_rule,
-    resolve_pool,
-    rule_drilldown,
-    star_drilldown,
     tuple_measures,
 )
 from repro.core.marginal import SearchStats
-from repro.core.parallel import count_extensions_kernel, count_parent_extensions
-from repro.session import DrillDownSession
+from repro.core.parallel import (
+    CountingPool,
+    CountTask,
+    count_extensions_kernel,
+    count_parent_extensions,
+    count_tasks,
+    nonunit_measures,
+)
 from repro.table import Schema, Table
-
-try:
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None
-
-
-@pytest.fixture(scope="module")
-def pool2():
-    """A two-worker pool with thresholds zeroed so tiny tables dispatch."""
-    with CountingPool(2, min_table_rows=0, min_task_rows=0) as pool:
-        yield pool
-
-
-def _case(name: str, table):
-    """``(table to mine, weight)``; "merged" is the drill-down lifting,
-    meaningful on the sub-table its parent covers."""
-    if name == "size":
-        return table, SizeWeight()
-    if name == "bits":
-        return table, BitsWeight.for_table(table)
-    if name == "size_minus_one":
-        return table, SizeMinusOneWeight()
-    if name == "merged":
-        parent = Rule.from_items(table.n_columns, {0: table.categorical(0).decode(0)})
-        return table.filter(cover_mask(parent, table)), MergedWeight(SizeWeight(), parent)
-    if name == "star":
-        return table, StarConstrainedWeight(SizeWeight(), min(1, table.n_columns - 1))
-    raise AssertionError(name)
-
-
-def _assert_identical(a, b):
-    """Byte-identical pick sequences: rules, weights, counts, marginals."""
-    assert [p.rule for p in a.picks] == [p.rule for p in b.picks]
-    assert [p.weight for p in a.picks] == [p.weight for p in b.picks]
-    assert [p.count for p in a.picks] == [p.count for p in b.picks]
-    assert [p.marginal for p in a.picks] == [p.marginal for p in b.picks]
-    assert a.rules == b.rules
-    assert a.score == b.score
-
-
-class TestParallelEquivalence:
-    @pytest.mark.parametrize(
-        "weighting", ["size", "bits", "size_minus_one", "merged", "star"]
-    )
-    def test_weight_functions(self, marketing7, weighting, pool2):
-        table, wf = _case(weighting, marketing7)
-        serial = brs(table, wf, 4, 5.0)
-        parallel = brs(table, wf, 4, 5.0, pool=pool2)
-        _assert_identical(serial, parallel)
-
-    @pytest.mark.parametrize("n_workers", [2, 3])
-    def test_worker_counts(self, marketing7, n_workers):
-        wf = SizeWeight()
-        serial = brs(marketing7, wf, 4, 5.0)
-        with CountingPool(n_workers, min_table_rows=0, min_task_rows=0) as pool:
-            parallel = brs(marketing7, wf, 4, 5.0, pool=pool)
-        _assert_identical(serial, parallel)
-
-    def test_scratch_engine(self, marketing7, pool2):
-        wf = SizeWeight()
-        serial = brs(marketing7, wf, 4, 5.0, engine="scratch")
-        parallel = brs(marketing7, wf, 4, 5.0, engine="scratch", pool=pool2)
-        _assert_identical(serial, parallel)
-
-    def test_census_workload_dispatches(self, census_small, pool2):
-        wf = SizeWeight()
-        serial = brs(census_small, wf, 5, 5.0)
-        ctx = SearchContext(census_small, wf, 5.0, pool=pool2)
-        parallel = brs(census_small, wf, 5, 5.0, context=ctx)
-        _assert_identical(serial, parallel)
-        assert ctx.backend is not None
-        assert ctx.backend.tasks_dispatched > 0  # workers really ran
-
-    def test_sum_measures(self, measure_table, pool2):
-        wf = SizeWeight()
-        measures = tuple_measures(measure_table, "Sales")
-        serial = brs(measure_table, wf, 4, 2.0, measures=measures)
-        parallel = brs(measure_table, wf, 4, 2.0, measures=measures, pool=pool2)
-        _assert_identical(serial, parallel)
-
-    def test_single_search(self, marketing7, pool2):
-        wf = SizeWeight()
-        top = np.zeros(marketing7.n_rows)
-        cold = find_best_marginal_rule(marketing7, wf, top, 5.0)
-        warm = find_best_marginal_rule(marketing7, wf, top, 5.0, pool=pool2)
-        assert (warm.rule, warm.weight, warm.count, warm.marginal) == (
-            cold.rule,
-            cold.weight,
-            cold.count,
-            cold.marginal,
-        )
-
-    def test_rule_drilldown(self, marketing7, pool2):
-        wf = SizeWeight()
-        parent = Rule.from_items(
-            marketing7.n_columns, {0: marketing7.categorical(0).decode(0)}
-        )
-        serial = rule_drilldown(marketing7, parent, wf, 3, 5.0)
-        parallel = rule_drilldown(marketing7, parent, wf, 3, 5.0, pool=pool2)
-        assert serial.rules == parallel.rules
-        assert [e.mcount for e in serial.rule_list] == [
-            e.mcount for e in parallel.rule_list
-        ]
-
-    def test_star_drilldown(self, marketing7, pool2):
-        wf = SizeWeight()
-        parent = Rule.trivial(marketing7.n_columns)
-        serial = star_drilldown(marketing7, parent, 1, wf, 3, 5.0)
-        parallel = star_drilldown(marketing7, parent, 1, wf, 3, 5.0, pool=pool2)
-        assert serial.rules == parallel.rules
-
-    def test_interleaved_contexts_share_one_export(self, marketing7, pool2):
-        """Alternating searches from two contexts over one shared export
-        must each see their own ``top`` (the segment is re-published on
-        ownership change), not the other search's."""
-        wf = SizeWeight()
-        c1 = SearchContext(marketing7, wf, 5.0, pool=pool2)
-        c2 = SearchContext(marketing7, wf, 5.0, pool=pool2)
-        assert c1.backend.export is c2.backend.export
-        tops = [np.zeros(marketing7.n_rows), np.zeros(marketing7.n_rows)]
-        picks = [[], []]
-        for _ in range(3):
-            for i, ctx in enumerate((c1, c2)):
-                result = ctx.find_best(tops[i].copy())
-                picks[i].append((result.rule, result.marginal))
-                rows = ctx.last_rows
-                tops[i][rows] = np.maximum(tops[i][rows], result.weight)
-        assert picks[0] == picks[1]
-        reference = brs(marketing7, wf, 3, 5.0)
-        assert [p.rule for p in reference.picks] == [r for r, _ in picks[0]]
-
-    def test_float_top_normalised(self, marketing7, pool2):
-        """A non-float64 top is normalised identically on the serial and
-        parallel paths (local fallback vs shared segment)."""
-        wf = SizeWeight()
-        top = np.zeros(marketing7.n_rows, dtype=np.float32)
-        top[: marketing7.n_rows // 2] = 1.5
-        cold = find_best_marginal_rule(marketing7, wf, top, 5.0)
-        warm = find_best_marginal_rule(marketing7, wf, top, 5.0, pool=pool2)
-        assert (cold.rule, cold.marginal, cold.count) == (
-            warm.rule,
-            warm.marginal,
-            warm.count,
-        )
-
-    def test_session_expansions(self, marketing7, pool2):
-        serial = DrillDownSession(marketing7, k=3, mw=5.0)
-        serial.expand(serial.root.rule)
-        with DrillDownSession(marketing7, k=3, mw=5.0, pool=pool2) as parallel:
-            parallel.expand(parallel.root.rule)
-            assert [n.rule for n in serial.displayed()] == [
-                n.rule for n in parallel.displayed()
-            ]
-
-
-class TestSerialFallbacks:
-    def test_n_workers_one_is_serial(self, marketing7):
-        assert resolve_pool(None, None) is None
-        assert resolve_pool(None, 1) is None
-        ctx = SearchContext(marketing7, SizeWeight(), 5.0, n_workers=1)
-        assert ctx.backend is None
-        result = brs(marketing7, SizeWeight(), 3, 5.0, n_workers=1)
-        _assert_identical(result, brs(marketing7, SizeWeight(), 3, 5.0))
-
-    def test_n_workers_zero_means_all_cores(self):
-        import os
-
-        pool = resolve_pool(None, 0)
-        if (os.cpu_count() or 1) > 1:
-            assert pool is not None and pool.n_workers == os.cpu_count()
-        else:
-            assert pool is None
-
-    def test_small_table_not_exported(self, tiny_table, pool2):
-        with CountingPool(2) as strict:  # default min_table_rows
-            assert strict.backend_for(tiny_table) is None
-        # zeroed thresholds do export it, and results still agree
-        serial = brs(tiny_table, SizeWeight(), 3, 3.0)
-        parallel = brs(tiny_table, SizeWeight(), 3, 3.0, pool=pool2)
-        _assert_identical(serial, parallel)
-
-    def test_slow_path_weight_falls_back(self, tiny_table, pool2):
-        wf = CallableWeight(lambda rule: float(rule.size))
-        ctx = SearchContext(tiny_table, wf, 3.0, pool=pool2)
-        assert ctx.backend is None  # value-dependent weights stay serial
-        serial = brs(tiny_table, wf, 3, 3.0)
-        parallel = brs(tiny_table, wf, 3, 3.0, pool=pool2)
-        _assert_identical(serial, parallel)
-
-    def test_pool_of_one_never_dispatches(self, marketing7):
-        pool = CountingPool(1, min_table_rows=0, min_task_rows=0)
-        assert not pool.usable
-        assert pool.backend_for(marketing7) is None
-        pool.close()
-
-    def test_tasks_below_threshold_run_locally(self, marketing7):
-        wf = SizeWeight()
-        with CountingPool(2, min_table_rows=0, min_task_rows=10**9) as pool:
-            ctx = SearchContext(marketing7, wf, 5.0, pool=pool)
-            result = brs(marketing7, wf, 3, 5.0, context=ctx)
-            assert ctx.backend is not None
-            assert ctx.backend.tasks_dispatched == 0
-            assert ctx.backend.tasks_local > 0
-        _assert_identical(result, brs(marketing7, SizeWeight(), 3, 5.0))
-
-    def test_closed_pool_is_serial(self, marketing7):
-        pool = CountingPool(2, min_table_rows=0)
-        pool.close()
-        assert pool.backend_for(marketing7) is None
-        result = brs(marketing7, SizeWeight(), 3, 5.0, pool=pool)
-        _assert_identical(result, brs(marketing7, SizeWeight(), 3, 5.0))
-
-
-@pytest.mark.skipif(shared_memory is None, reason="no shared_memory support")
-class TestLifecycle:
-    def test_export_reused_across_searches(self, marketing7, pool2):
-        a = pool2.backend_for(marketing7)
-        b = pool2.backend_for(marketing7)
-        assert a is not b and a.export is b.export
-
-    def test_pool_close_unlinks_segments(self, marketing7):
-        pool = CountingPool(2, min_table_rows=0, min_task_rows=0)
-        backend = pool.backend_for(marketing7)
-        data_name, top_name = backend.export.meta[0], backend.export.meta[1]
-        probe = shared_memory.SharedMemory(name=data_name)
-        probe.close()
-        pool.close()
-        for name in (data_name, top_name):
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_session_close_releases_owned_pool(self, marketing7):
-        session = DrillDownSession(marketing7, k=3, mw=5.0, n_workers=2)
-        pool = session.pool
-        assert pool is not None and pool.n_workers == 2
-        session.expand(session.root.rule)
-        session.close()
-        assert pool.closed
-        assert session.pool is None
-        assert not session._search_contexts
-
-    def test_session_close_keeps_shared_pool(self, marketing7, pool2):
-        session = DrillDownSession(marketing7, k=3, mw=5.0, pool=pool2)
-        session.expand(session.root.rule)
-        session.close()
-        assert not pool2.closed  # shared pools outlive the session
-
-    def test_session_n_workers_one_owns_no_pool(self, marketing7):
-        session = DrillDownSession(marketing7, k=3, mw=5.0, n_workers=1)
-        assert session.pool is None
-        session.expand(session.root.rule)
-        session.close()
-
-    def test_default_pool_cached_and_reopened(self):
-        a = default_pool(2)
-        assert default_pool(2) is a
-        a.close()
-        b = default_pool(2)
-        assert b is not a and not b.closed
-        b.close()
 
 
 # -- the parent-level counting primitive ----------------------------------------
@@ -435,3 +175,175 @@ class TestParentPrimitive:
             )
             [at] = np.nonzero(supported == code)[0]
             assert np.float64(cand.marginal).tobytes() == marginals[at].tobytes()
+
+
+# -- what the one counting path reports, recounted from cover masks ---------------
+
+
+def _case(name: str, table):
+    """``(table to mine, weight)``; "merged" is the drill-down lifting,
+    meaningful on the sub-table its parent covers."""
+    if name == "size":
+        return table, SizeWeight()
+    if name == "bits":
+        return table, BitsWeight.for_table(table)
+    if name == "size_minus_one":
+        return table, SizeMinusOneWeight()
+    if name == "merged":
+        parent = Rule.from_items(table.n_columns, {0: table.categorical(0).decode(0)})
+        return table.filter(cover_mask(parent, table)), MergedWeight(SizeWeight(), parent)
+    if name == "star":
+        return table, StarConstrainedWeight(SizeWeight(), min(1, table.n_columns - 1))
+    raise AssertionError(name)
+
+
+def _assert_picks_recount(picks, table, wf, measures=None, initial_top=None):
+    """Every pick's weight, Count and marginal value equal a recount over
+    its cover mask at the ``top`` the earlier picks left, and the greedy
+    marginals of the submodular score never grow."""
+    m = np.ones(table.n_rows) if measures is None else measures
+    top = np.zeros(table.n_rows) if initial_top is None else initial_top.astype(np.float64)
+    previous = np.inf
+    assert picks
+    for pick in picks:
+        mask = cover_mask(pick.rule, table)
+        assert pick.weight == wf.weight(pick.rule)
+        assert pick.count == pytest.approx(m[mask].sum(), rel=1e-12)
+        gains = np.maximum(pick.weight - top[mask], 0.0) * m[mask]
+        assert pick.marginal == pytest.approx(gains.sum(), rel=1e-12)
+        assert 0.0 < pick.marginal <= previous * (1 + 1e-12)
+        previous = pick.marginal
+        top[mask] = np.maximum(top[mask], pick.weight)
+
+
+class TestOneCountingPath:
+    @pytest.mark.parametrize(
+        "weighting", ["size", "bits", "size_minus_one", "merged", "star"]
+    )
+    def test_weight_functions(self, marketing7, weighting):
+        table, wf = _case(weighting, marketing7)
+        result = brs(table, wf, 4, 5.0)
+        _assert_picks_recount(result.picks, table, wf)
+        assert sum(p.marginal for p in result.picks) == pytest.approx(result.score, rel=1e-12)
+
+    def test_census_workload(self, census_small):
+        wf = SizeWeight()
+        result = brs(census_small, wf, 5, 5.0)
+        assert len(result.picks) == 5
+        _assert_picks_recount(result.picks, census_small, wf)
+
+    def test_sum_measures(self, measure_table):
+        wf = SizeWeight()
+        measures = tuple_measures(measure_table, "Sales")
+        result = brs(measure_table, wf, 4, 2.0, measures=measures)
+        _assert_picks_recount(result.picks, measure_table, wf, measures)
+        assert sum(p.marginal for p in result.picks) == pytest.approx(result.score, rel=1e-12)
+
+    def test_fractional_initial_top(self, marketing7):
+        """Drill-down seeds ``top`` with the parent's weight; gains are
+        only the weight above it, row by row."""
+        wf = BitsWeight.for_table(marketing7)
+        seed = np.random.default_rng(7).uniform(0.0, 3.0, marketing7.n_rows)
+        result = brs(marketing7, wf, 4, 20.0, initial_top=seed)
+        _assert_picks_recount(result.picks, marketing7, wf, initial_top=seed)
+
+    def test_value_dependent_weight(self, tiny_table):
+        """A weight no column set determines takes the per-rule path."""
+        wf = CallableWeight(lambda rule: rule.size + (0.5 if rule.values[0] == "a" else 0.0))
+        result = brs(tiny_table, wf, 3, 3.0)
+        _assert_picks_recount(result.picks, tiny_table, wf)
+
+    def test_single_search_normalises_a_float32_top(self, marketing7):
+        wf = SizeWeight()
+        top = np.zeros(marketing7.n_rows, dtype=np.float32)
+        top[: marketing7.n_rows // 2] = 1.5
+        narrow = find_best_marginal_rule(marketing7, wf, top, 5.0)
+        wide = find_best_marginal_rule(marketing7, wf, top.astype(np.float64), 5.0)
+        assert (narrow.rule, narrow.weight, narrow.count, narrow.marginal) == (
+            wide.rule,
+            wide.weight,
+            wide.count,
+            wide.marginal,
+        )
+        _assert_picks_recount([wide], marketing7, wf, initial_top=top)
+
+    def test_interleaved_contexts_keep_their_own_top(self, marketing7):
+        """Alternating searches from two contexts over one table each see
+        their own ``top``, not the other search's."""
+        wf = SizeWeight()
+        contexts = [SearchContext(marketing7, wf, 5.0) for _ in range(2)]
+        tops = [np.zeros(marketing7.n_rows), np.zeros(marketing7.n_rows)]
+        picks = [[], []]
+        for _ in range(3):
+            for i, ctx in enumerate(contexts):
+                result = ctx.find_best(tops[i].copy())
+                picks[i].append(result)
+                rows = ctx.last_rows
+                tops[i][rows] = np.maximum(tops[i][rows], result.weight)
+        assert [p.rule for p in picks[0]] == [p.rule for p in picks[1]]
+        assert [p.rule for p in brs(marketing7, wf, 3, 5.0).picks] == [p.rule for p in picks[0]]
+        _assert_picks_recount(picks[1], marketing7, wf)
+
+
+class TestCompatibilityShim:
+    @pytest.mark.parametrize("measure", [None, "Sales"])
+    def test_count_columns_equals_count_tasks(self, measure_table, measure):
+        """``CountingPool(n).backend_for(t).count_columns(specs)`` — the
+        surface the e2e benchmark's ``layers`` pass binds to — is
+        :func:`count_tasks` over the same specs, bit for bit."""
+        table = measure_table
+        measures = tuple_measures(table, measure)
+        codes = table.categorical_code_arrays()
+        sizes = [table.categorical(i).distinct_count for i in table.schema.categorical_indexes]
+        top = np.linspace(0.0, 2.0, table.n_rows)
+        specs = [(pos, n, w) for pos, (n, w) in enumerate(zip(sizes, (1.0, 2.5, 0.5)))]
+        with CountingPool(2) as pool:
+            backend = pool.backend_for(table, None if measure is None else measures)
+            backend.set_top(top)
+            got = backend.count_columns(specs)
+        want = count_tasks(
+            codes,
+            nonunit_measures(measures),
+            top,
+            [CountTask(pos, pos, n, w, None) for pos, n, w in specs],
+        )
+        assert sorted(got) == sorted(want) == [pos for pos, _, _ in specs]
+        for pos in want:
+            _assert_same_arrays(got[pos], want[pos])
+
+    def test_count_batch_groups_tasks_by_parent(self, marketing7):
+        """Tasks sharing one ``rows`` array are one parent: ``count_batch``
+        answers each task as a per-column kernel call on that parent."""
+        codes = marketing7.categorical_code_arrays()
+        sizes = [
+            marketing7.categorical(i).distinct_count
+            for i in marketing7.schema.categorical_indexes
+        ]
+        top = np.random.default_rng(3).uniform(0.0, 2.0, marketing7.n_rows)
+        parent_rows = np.flatnonzero(codes[0] == 0)
+        tasks = [
+            CountTask(0, 1, sizes[1], 2.0, parent_rows),
+            CountTask(1, 2, sizes[2], 2.0, parent_rows),
+            CountTask(2, 3, sizes[3], 1.0, None),
+        ]
+        backend = CountingPool(2).backend_for(marketing7)
+        backend.set_top(top)
+        got = backend.count_batch(tasks)
+        assert sorted(got) == [0, 1, 2]
+        ones = np.ones(marketing7.n_rows)
+        for task in tasks:
+            want = count_extensions_kernel(
+                codes[task.pos], ones, top, task.rows, task.n_values, task.weight
+            )
+            _assert_same_arrays(got[task.task_id], want)
+
+    def test_close_is_a_no_op(self, marketing7):
+        """``close()`` releases nothing, so a closed name still counts."""
+        pool = CountingPool(4)
+        pool.close()
+        backend = pool.backend_for(marketing7)
+        backend.set_top(np.zeros(marketing7.n_rows))
+        spec = (0, marketing7.categorical(0).distinct_count, 1.0)
+        [(supported, counts, _)] = backend.count_columns([spec]).values()
+        assert counts.sum() == marketing7.n_rows
+        assert supported.size == np.unique(marketing7.categorical_code_arrays()[0]).size

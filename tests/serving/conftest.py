@@ -1,11 +1,4 @@
-"""Shared fixtures for the serving-tier suite.
-
-``lite_pool`` is the workhorse: a real :class:`CountingPool` whose
-thresholds force *exports without worker dispatch* — shared-memory
-segments are created (so export lifecycle is genuinely exercised) but
-every counting task stays local, keeping the suite fast and
-deterministic on single-core CI boxes.
-"""
+"""Shared fixtures for the serving-tier suite."""
 
 from __future__ import annotations
 
@@ -13,8 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.parallel import CountingPool
-from repro.core.parallel import _shared_memory as shared_memory
 from repro.serving import DrillDownServer
 
 _SERVING_DIR = Path(__file__).resolve().parent
@@ -35,16 +26,6 @@ def pytest_collection_modifyitems(items):
             item.add_marker(pytest.mark.serving)
             if "versioning" in path.name:
                 item.add_marker(pytest.mark.versioning)
-
-
-@pytest.fixture
-def lite_pool():
-    """A pool that exports tables but never ships tasks to workers."""
-    if shared_memory is None:  # pragma: no cover - exotic builds
-        pytest.skip("no shared_memory support")
-    pool = CountingPool(2, min_table_rows=1, min_task_rows=10**9)
-    yield pool
-    pool.close()
 
 
 @pytest.fixture

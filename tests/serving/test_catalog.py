@@ -1,4 +1,4 @@
-"""TableCatalog: register once, export once, owned-pool lifecycle."""
+"""TableCatalog: registration, conflicts, and close."""
 
 from __future__ import annotations
 
@@ -46,36 +46,12 @@ class TestRegistration:
         catalog.unregister("retail")  # idempotent
 
 
-class TestExportOnce:
-    def test_register_exports_eagerly_and_once(self, retail, lite_pool):
-        catalog = TableCatalog(pool=lite_pool)
-        catalog.register("retail", retail)
-        assert lite_pool.export_count() == 1
-        # A second registration (another name, same table) adds nothing.
-        catalog.register("retail2", retail)
-        assert lite_pool.export_count() == 1
-        # Backends created later reuse the registration-time export.
-        a = lite_pool.backend_for(retail)
-        b = lite_pool.backend_for(retail)
-        assert a.export is b.export
-
-    def test_borrowed_pool_survives_catalog_close(self, retail, lite_pool):
-        catalog = TableCatalog(pool=lite_pool)
+class TestClose:
+    def test_close_is_idempotent(self, retail):
+        catalog = TableCatalog()
         catalog.register("retail", retail)
         catalog.close()
-        assert not lite_pool.closed
-        catalog.close()  # idempotent
-
-    def test_owned_pool_closed_with_catalog(self):
-        catalog = TableCatalog(n_workers=2)
-        pool = catalog.pool
-        assert pool is not None and not pool.closed
         catalog.close()
-        assert pool.closed and catalog.pool is None
-
-    def test_serial_catalog_has_no_pool(self):
-        assert TableCatalog().pool is None
-        assert TableCatalog(n_workers=1).pool is None
 
     def test_closed_catalog_rejects_registration(self, retail):
         catalog = TableCatalog()

@@ -70,15 +70,6 @@ class TestClone:
         )
         assert shared > 0  # zero-copy: materialised rows shared by reference
 
-    def test_clone_with_pool_gets_own_backend(self, retail, wf, lite_pool):
-        context = SearchContext(retail, wf, 3.0, pool=lite_pool)
-        clone = context.clone(pool=lite_pool, tenant="alice")
-        assert clone.backend is not None and clone.backend is not context.backend
-        assert clone.backend.export is context.backend.export  # one export
-        assert clone.backend.tenant == "alice"
-        # Detached clone (no pool) counts serially.
-        assert context.clone().backend is None
-
 
 class TestStore:
     def test_lease_miss_then_publish_then_hit(self, retail, wf):

@@ -288,12 +288,11 @@ class TestRestartEquivalence:
         assert server.checkpoint_all() == 0  # untouched since: clean sweep
         server.close()
 
-    def test_failed_durability_wiring_closes_the_catalog(self, tmp_path, retail, lite_pool):
-        """A constructor failure after the catalog exists must not leak
-        a catalog-owned pool; a borrowed pool must survive."""
+    def test_failed_durability_wiring_closes_the_catalog(self, tmp_path, retail):
+        """A constructor failure after the catalog exists propagates
+        (the half-built server closes its catalog first)."""
         with pytest.raises(SnapshotError):
-            DrillDownServer(pool=lite_pool, persist_dir=tmp_path, reaper_interval=-1.0)
-        assert not lite_pool.closed  # borrowed: never closed for us
+            DrillDownServer(persist_dir=tmp_path, reaper_interval=-1.0)
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
         with pytest.raises(OSError):

@@ -95,17 +95,6 @@ class TestLRU:
         assert s2.closed and not s1.closed and not s3.closed
         assert sid2 not in registry and registry.lru_evictions == 1
 
-    def test_eviction_closes_but_spares_shared_pool(self, retail, lite_pool):
-        """Evicting one tenant unlinks nothing another tenant still uses."""
-        registry = SessionRegistry(max_sessions=1)
-        survivor_owner = _session(retail, pool=lite_pool)
-        registry.add(survivor_owner)
-        exports_before = lite_pool.export_count()
-        registry.add(_session(retail, pool=lite_pool))  # evicts the first
-        assert survivor_owner.closed
-        assert not lite_pool.closed
-        assert lite_pool.export_count() == exports_before  # nothing unlinked
-
 
 class TestCloseSemantics:
     def test_close_is_idempotent(self, retail):
@@ -146,11 +135,10 @@ class TestCloseSemantics:
         session.close()
         assert fired == [session]
 
-    def test_close_during_inflight_expand_defers_owned_pool(self, retail, monkeypatch):
-        """Eviction mid-expand: the expand completes, the pool release
-        waits for it, later calls raise SessionClosedError."""
-        session = DrillDownSession(retail, k=3, mw=3.0, n_workers=2)
-        pool = session.pool
+    def test_close_during_inflight_expand_lets_it_finish(self, retail, monkeypatch):
+        """Eviction mid-expand: the expand completes, later calls raise
+        SessionClosedError."""
+        session = DrillDownSession(retail, k=3, mw=3.0)
         started = threading.Event()
         release = threading.Event()
         original = session._acquire
@@ -171,12 +159,10 @@ class TestCloseSemantics:
         assert started.wait(timeout=10.0)
         session.close()  # mid-expand, from another thread
         assert session.closed
-        assert not pool.closed  # deferred behind the in-flight expand
         release.set()
         worker.join(timeout=10.0)
         assert not worker.is_alive()
         assert results["children"]  # the in-flight expand completed
-        assert pool.closed  # ... and the owned pool drained after it
         with pytest.raises(SessionClosedError):
             session.expand(session.root.rule)
 

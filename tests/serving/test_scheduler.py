@@ -152,22 +152,3 @@ class TestRoundRobin:
         with scheduler.dispatch_turn("bob"):
             pass
         assert scheduler.dispatches == 2
-
-    def test_pool_hook_is_exercised(self, census_small):
-        """Installed on a real CountingPool, the gate wraps every
-        dispatched batch (single-worker-capable smoke: 2 workers on a
-        20k-row census table forces at least the size-1 batch out)."""
-        from repro.core import SizeWeight, brs
-        from repro.core.parallel import CountingPool
-
-        pool = CountingPool(2, min_table_rows=1_000, min_task_rows=1_000)
-        scheduler = FairScheduler()
-        pool.scheduler = scheduler
-        try:
-            backend_result = brs(census_small, SizeWeight(), 2, 3.0, pool=pool)
-            serial_result = brs(census_small, SizeWeight(), 2, 3.0)
-            assert backend_result.rules == serial_result.rules
-            if pool.usable:  # forked workers available on this platform
-                assert scheduler.dispatches > 0
-        finally:
-            pool.close()

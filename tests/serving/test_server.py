@@ -1,8 +1,8 @@
 """DrillDownServer: the acceptance criteria, end to end.
 
 Two tenants served over one catalog table must produce rule lists
-bit-identical to two standalone sessions, while sharing one pool
-export and (matching configs) one SearchContext lattice; budget
+bit-identical to two standalone sessions, while sharing (matching
+configs) one SearchContext lattice; budget
 exhaustion throttles with a typed error; eviction never unlinks shared
 state still in use.
 """
@@ -78,34 +78,16 @@ class TestAcceptance:
             assert stats["prototypes"] == 2  # root + walmart
             assert stats["hits"] == 2  # bob leased both
 
-    def test_one_pool_export_serves_every_tenant(self, retail, lite_pool):
-        with DrillDownServer(pool=lite_pool) as server:
-            server.register_table("retail", retail)
-            assert lite_pool.export_count() == 1  # registration-time export
-            sids = [
-                server.create_session("retail", tenant=f"t{i}", k=3, mw=3.0)
-                for i in range(4)
-            ]
-            first = server.expand(sids[0])
-            for sid in sids[1:]:
-                assert [c.rule for c in server.expand(sid)] == [c.rule for c in first]
-            # Root expansions mined the registered table itself: still
-            # exactly one export for it, shared by every tenant.
-            assert lite_pool.export_count() == 1
-        assert not lite_pool.closed  # borrowed pool survives server close
-
-    def test_eviction_leaves_other_tenants_working(self, retail, lite_pool):
-        with DrillDownServer(pool=lite_pool, max_sessions=2) as server:
+    def test_eviction_leaves_other_tenants_working(self, retail):
+        with DrillDownServer(max_sessions=2) as server:
             server.register_table("retail", retail)
             a = server.create_session("retail", tenant="a", k=3, mw=3.0)
             b = server.create_session("retail", tenant="b", k=3, mw=3.0)
             first = server.expand(b)  # touches b: a is now the LRU
-            exports = lite_pool.export_count()
             c = server.create_session("retail", tenant="c", k=3, mw=3.0)  # evicts a
             with pytest.raises(UnknownSessionError):
                 server.expand(a)
-            assert lite_pool.export_count() == exports  # nothing unlinked
-            # The surviving tenants keep working over the shared export.
+            # The surviving tenants keep working over the shared table.
             assert server.expand(b, first[-1].rule)
             assert [child.rule for child in server.expand(c)] == [
                 child.rule for child in first
@@ -237,13 +219,12 @@ class TestLifecycle:
             server.expand(sid)
 
     def test_server_close_is_idempotent(self, retail):
-        server = DrillDownServer(n_workers=2)
+        server = DrillDownServer()
         server.register_table("retail", retail)
-        pool = server.catalog.pool
         sid = server.create_session("retail", k=3, mw=3.0)
         session = server.session(sid)
         server.close()
         server.close()
-        assert session.closed and pool.closed
+        assert session.closed
         with pytest.raises(ServingError):
             server.create_session("retail")

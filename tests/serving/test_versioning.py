@@ -3,10 +3,9 @@
 The contract: ``append_rows`` creates a *new table version* whose
 serving behaviour is bit-identical to registering a table built from
 the same rows from scratch — across the incremental machinery
-(grow-and-copy pool exports, delta-maintained first-pick marginals,
-lazily rebuilt sample sets) that makes the append cheap — while every
-session opened before the append stays pinned to its version and does
-not move by a byte.  Superseded versions are reaped when their last
+(delta-maintained first-pick marginals, lazily rebuilt sample sets)
+that makes the append cheap — while every session opened before the
+append stays pinned to its version and does not move by a byte.  Superseded versions are reaped when their last
 pinned session closes, and reaping (like ``unregister``) purges the
 version's persisted sample/marginal artifacts.
 """
@@ -118,7 +117,6 @@ class TestAppendBitIdentity:
 def _tier_factories():
     return [
         pytest.param(lambda: DrillDownServer(), id="server-serial"),
-        pytest.param(lambda: DrillDownServer(n_workers=2), id="server-pool"),
         pytest.param(lambda: ShardRouter(1), id="router-1"),
         pytest.param(lambda: ShardRouter(2), id="router-2"),
         pytest.param(lambda: ShardRouter(4), id="router-4"),
@@ -205,48 +203,22 @@ class TestEquivalencePin:
                 tier.append_rows("t", [])
 
 
-# -- pool export growth ----------------------------------------------------------
+# -- catalog version records ---------------------------------------------------
 
 
-class TestExportGrowth:
-    def test_append_grows_export_incrementally(self, lite_pool):
-        catalog = TableCatalog(pool=lite_pool)
-        base = Table.from_rows(SCHEMA, BASE_ROWS)
-        catalog.register("t", base)
-        assert lite_pool.export_count() == 1
+class TestCatalogVersions:
+    def test_append_reaps_the_unpinned_old_version(self):
+        catalog = TableCatalog()
+        catalog.register("t", Table.from_rows(SCHEMA, BASE_ROWS))
         record = catalog.append_rows("t", EXTRA_ROWS)
         assert isinstance(record, TableVersion) and record.version == 2
-        # Grow-and-copy, not a cold re-export from the raw columns.
-        assert lite_pool.exports_grown == 1
-        assert catalog.version_stats()["exports_grown"] == 1
-        # The unpinned old version is reaped immediately, dropping its
-        # export — one live segment set per table at steady state.
         assert catalog.version_stats()["reaped"] == 1
-        assert lite_pool.export_count() == 1
-        # A pinned old version keeps its export alive across an append.
-        catalog.pin("t")
+        catalog.pin("t")  # a pinned old version survives the next append
         catalog.append_rows("t", EXTRA_ROWS)
-        assert lite_pool.export_count() == 2
+        versions = catalog.version_stats()["tables"]["t"]["versions"]
+        assert [v["version"] for v in versions] == [2, 3]
         catalog.unpin("t", 2)
-        assert lite_pool.export_count() == 1
-        catalog.close()
-
-    def test_grown_export_counts_bit_identical(self, lite_pool):
-        catalog = TableCatalog(pool=lite_pool)
-        base = Table.from_rows(SCHEMA, BASE_ROWS)
-        catalog.register("t", base)
-        new = catalog.append_rows("t", EXTRA_ROWS).table
-        cold = Table.from_rows(SCHEMA, BASE_ROWS + EXTRA_ROWS)
-        grown = lite_pool.backend_for(new)
-        fresh = lite_pool.backend_for(cold)
-        for backend in (grown, fresh):
-            backend.set_top(0.0)
-        jobs = [(pos, len(new.column(pos).values), 1.0) for pos in range(3)]
-        got = grown.count_columns(jobs)
-        want = fresh.count_columns(jobs)
-        for pos in got:
-            for g, w in zip(got[pos], want[pos]):
-                assert np.array_equal(g, w)
+        assert catalog.version_stats()["reaped"] == 2
         catalog.close()
 
 

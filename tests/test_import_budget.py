@@ -6,8 +6,9 @@ launcher, every ``spawn``-ed recovery shard, every CLI and every test
 subprocess.  The rule (``docs/ARCHITECTURE.md``): heavy third-party
 imports live in the function that needs them, and a tier configured for
 approximate serving pre-loads ``scipy.special`` at catalog construction
-so that no analyst's click pays for it.  Module names only — never
-seconds.
+so that no analyst's click pays for it.  The same check keeps a
+worker pool's shared memory and process executor off the serving path.
+Module names only — never seconds.
 """
 
 from __future__ import annotations
@@ -71,6 +72,24 @@ group = GroupSpec("p", (LeafSpec("a", 0.6, 0.5), LeafSpec("b", 0.4, 0.25)))
 result = solve_lp(problem_from_groups([group], 100, 20))
 assert 0.0 < result.objective <= 1.0 + 1e-9
 assert "scipy.optimize" in sys.modules  # loaded by the call, not before it
+""")
+
+
+def test_serving_an_expand_loads_no_process_pool_or_shared_memory():
+    """Counting runs in the request's own process: serving a table and
+    an expand must not load the machinery of a worker pool."""
+    run_fresh("""
+from repro.core import Rule
+from repro.datasets import generate_zipf_table
+from repro.serving import DrillDownServer
+table = generate_zipf_table(2000, [4, 5, 3], skew=0.9, seed=2)
+server = DrillDownServer()
+server.register_table("t", table)
+sid = server.create_session("t")
+assert server.expand(sid, Rule.trivial(3))
+server.close()
+pool_modules = {"multiprocessing.shared_memory", "concurrent.futures.process"}
+assert not pool_modules & set(sys.modules), sorted(pool_modules & set(sys.modules))
 """)
 
 
