@@ -2,15 +2,14 @@
 
 The §6.1 interactivity claim ("display as many rules as we can find
 within a 5-second limit") depends on the latency of repeated
-`find_best_marginal_rule` calls.  This benchmark times the k=10 greedy
-on the census workload under both engines and records:
+best-marginal-rule searches.  This benchmark times the k=10 greedy on
+the census workload and records:
 
 * per-pick latency for the incremental engine — the first pick builds
   the candidate cache, later picks are CELF heap re-evaluations;
-* the wall-clock speedup of the incremental engine over the
-  from-scratch greedy (one cold Algorithm 2 run per pick), asserted
-  to be at least 3×;
-* exact equivalence of the two engines' rule sequences.
+* the speedup of one context kept across the greedy over the
+  from-scratch greedy (a cold ``SearchContext`` per pick), asserted ≥ 3×;
+* exact equality of both greedies' picks with ``reference_brs``.
 
 A JSON perf record is written next to this file
 (``BENCH_incremental_search.json``) so future changes can track the
@@ -31,9 +30,10 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core import SizeWeight, brs, brs_iter
+from repro.core import SearchContext, SizeWeight, brs, brs_iter, reference_brs
 from repro.datasets import generate_census
 
 RECORD_PATH = Path(__file__).resolve().parent / "BENCH_incremental_search.json"
@@ -44,16 +44,28 @@ MW = 5.0
 MIN_SPEEDUP = 3.0
 
 
-def _time_run(table, engine: str) -> float:
+def _cold_greedy(table) -> list:
+    """The from-scratch greedy: a cold :class:`SearchContext` per pick."""
+    top, picks = np.zeros(table.n_rows), []
+    while len(picks) < K:
+        context = SearchContext(table, SizeWeight(), MW)
+        if (pick := context.find_best(top)) is None:
+            break
+        picks.append(pick)
+        top[context.last_rows] = np.maximum(top[context.last_rows], pick.weight)
+    return picks
+
+
+def _time(run) -> float:
     start = time.perf_counter()
-    brs(table, SizeWeight(), K, MW, engine=engine)
+    run()
     return time.perf_counter() - start
 
 
-def _per_pick_times(table, engine: str) -> list[float]:
+def _per_pick_times(table) -> list[float]:
     """Latency of each greedy pick, streamed through :func:`brs_iter`."""
     times: list[float] = []
-    stream = brs_iter(table, SizeWeight(), MW, engine=engine)
+    stream = brs_iter(table, SizeWeight(), MW)
     while len(times) < K:
         start = time.perf_counter()
         result = next(stream, None)
@@ -64,46 +76,36 @@ def _per_pick_times(table, engine: str) -> list[float]:
     return times
 
 
+def _tuples(picks) -> list[tuple]:
+    return [(p.rule, p.weight, p.count, p.marginal) for p in picks]
+
+
 def run_benchmark(table, repeats: int = 3) -> dict:
-    """Time both engines, check equivalence, and build the perf record."""
-    scratch = min(_time_run(table, "scratch") for _ in range(repeats))
-    incremental = min(_time_run(table, "incremental") for _ in range(repeats))
-    picks_scratch = brs(table, SizeWeight(), K, MW, engine="scratch")
-    picks_lazy = brs(table, SizeWeight(), K, MW, engine="incremental")
-    identical = [p.rule for p in picks_scratch.picks] == [
-        p.rule for p in picks_lazy.picks
-    ] and [p.marginal for p in picks_scratch.picks] == [
-        p.marginal for p in picks_lazy.picks
-    ]
-    per_pick = _per_pick_times(table, "incremental")
+    """Time both greedies, check them against the reference, build the record."""
+    cold = min(_time(lambda: _cold_greedy(table)) for _ in range(repeats))
+    incremental = min(_time(lambda: brs(table, SizeWeight(), K, MW)) for _ in range(repeats))
+    picks_cold = _cold_greedy(table)
+    picks_lazy = brs(table, SizeWeight(), K, MW)
+    reference = _tuples(reference_brs(table, SizeWeight(), K, MW))
+    identical = _tuples(picks_cold) == reference == _tuples(picks_lazy.picks)
+    per_pick = _per_pick_times(table)
     later = per_pick[1:] or [0.0]
-    stats = picks_lazy.stats
+    stats = ("rows_scanned", "candidates_generated", "cache_hits", "lazy_skips")
     return {
-        "workload": {
-            "dataset": "census",
-            "rows": table.n_rows,
-            "columns": N_COLUMNS,
-            "k": K,
-            "mw": MW,
-            "weighting": "size",
-            "repeats": repeats,
-        },
-        "seed_engine_seconds": round(scratch, 6),
+        "workload": dict(
+            dataset="census", rows=table.n_rows, columns=N_COLUMNS, k=K, mw=MW,
+            weighting="size", repeats=repeats,
+        ),
+        "cold_context_per_pick_seconds": round(cold, 6),
         "incremental_engine_seconds": round(incremental, 6),
-        "speedup": round(scratch / incremental, 3),
+        "speedup": round(cold / incremental, 3),
         "first_pick_seconds": round(per_pick[0], 6),
         "later_pick_mean_seconds": round(sum(later) / len(later), 6),
         "later_vs_first_ratio": round((sum(later) / len(later)) / per_pick[0], 4),
-        "identical_rule_lists": identical,
-        "incremental_stats": {
-            "rows_scanned": stats.rows_scanned,
-            "candidates_generated": stats.candidates_generated,
-            "cache_hits": stats.cache_hits,
-            "lazy_skips": stats.lazy_skips,
-        },
-        "scratch_stats": {
-            "rows_scanned": picks_scratch.stats.rows_scanned,
-            "candidates_generated": picks_scratch.stats.candidates_generated,
+        "identical_to_reference": identical,
+        "incremental_stats": {name: getattr(picks_lazy.stats, name) for name in stats},
+        "cold_context_stats": {
+            name: sum(getattr(p.stats, name) for p in picks_cold) for name in stats[:2]
         },
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -114,11 +116,10 @@ def write_record(record: dict) -> None:
 
 
 def check_record(record: dict) -> None:
-    assert record["identical_rule_lists"], "engines disagreed on the rule list"
+    assert record["identical_to_reference"], "a greedy disagreed with the reference"
     assert record["speedup"] >= MIN_SPEEDUP, (
-        f"incremental engine speedup {record['speedup']:.2f}x is below the "
-        f"{MIN_SPEEDUP}x floor "
-        f"({record['seed_engine_seconds']:.3f}s vs "
+        f"incremental engine speedup {record['speedup']:.2f}x is below the {MIN_SPEEDUP}x "
+        f"floor ({record['cold_context_per_pick_seconds']:.3f}s vs "
         f"{record['incremental_engine_seconds']:.3f}s)"
     )
     # Later picks must be much cheaper than the cache-building first pick.
@@ -132,7 +133,7 @@ def test_incremental_engine_speedup(census):
     write_record(record)
     print()
     print(
-        f"BX incremental search: seed {record['seed_engine_seconds']*1000:.0f} ms, "
+        f"BX incremental search: cold {record['cold_context_per_pick_seconds']*1000:.0f} ms, "
         f"incremental {record['incremental_engine_seconds']*1000:.0f} ms "
         f"({record['speedup']:.1f}x); first pick "
         f"{record['first_pick_seconds']*1000:.1f} ms, later picks "
@@ -143,9 +144,7 @@ def test_incremental_engine_speedup(census):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke", action="store_true", help="single repeat (fast CI smoke run)"
-    )
+    parser.add_argument("--smoke", action="store_true", help="single repeat (fast CI smoke run)")
     args = parser.parse_args()
     table = generate_census(CENSUS_ROWS, n_columns=N_COLUMNS)
     record = run_benchmark(table, repeats=1 if args.smoke else 3)

@@ -9,16 +9,16 @@ rule-list of size ``k+1`` as produced by the greedy, which Section 6.1
 exploits to stream rules to the user; :func:`brs_iter` exposes exactly
 that stream.
 
-**Engines.**  By default (``engine="incremental"``) the ``k`` marginal
-searches run through a :class:`~repro.core.search_cache.SearchContext`,
-which persists candidate counts, weights, and covered-row sets across
-picks and re-evaluates marginals CELF-style (Leskovec et al.'s lazy
-greedy): submodularity makes any previously computed marginal an upper
-bound on the current one, so picks after the first only touch the few
-heap-top candidates whose stale bound is still competitive, instead of
+**The engine.**  The ``k`` marginal searches run through one
+:class:`~repro.core.search_cache.SearchContext`, which persists
+candidate counts, weights, and covered-row sets across picks and
+re-evaluates marginals CELF-style (Leskovec et al.'s lazy greedy):
+submodularity makes any previously computed marginal an upper bound on
+the current one, so picks after the first only touch the few heap-top
+candidates whose stale bound is still competitive, instead of
 re-running the whole a-priori search.  The selected rules are provably
-identical to ``engine="scratch"`` (one cold
-:func:`~repro.core.marginal.find_best_marginal_rule` per pick) — the
+identical to one cold Algorithm 2 search per pick
+(:func:`~repro.core.marginal.reference_brs`, the test oracle) — the
 lazy heap settles on the same argmax under the same tie-breaking order,
 and pruned-subtree bounds are re-checked against the current ``top``
 before a search concludes (see :mod:`repro.core.search_cache` for the
@@ -36,8 +36,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.marginal import MarginalResult, SearchStats, find_best_marginal_rule
-from repro.core.rule import Rule, cover_mask
+from repro.core.marginal import MarginalResult, SearchStats
+from repro.core.rule import Rule
 from repro.core.scoring import RuleList, sort_rules_by_weight
 from repro.core.search_cache import SearchContext
 from repro.core.weights import WeightFunction
@@ -90,7 +90,6 @@ def brs_iter(
     prune: bool = True,
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
-    engine: str = "incremental",
     first_pick=None,
 ) -> Iterator[MarginalResult]:
     """Yield greedy picks one at a time (the Section 6.1 streaming mode).
@@ -105,25 +104,22 @@ def brs_iter(
     parent's (this is what makes the Table 3 expansion produce
     cookies/CA-1/WA-5 rather than re-listing the Walmart rule itself).
 
-    ``engine`` selects ``"incremental"`` (cached, CELF lazy greedy —
-    the default) or ``"scratch"`` (one cold Algorithm 2 run per pick);
-    both produce identical picks.  ``context`` supplies an existing
+    ``context`` supplies an existing
     :class:`~repro.core.search_cache.SearchContext` to reuse across
-    runs (implies the incremental engine); it must have been built for
-    the same table, weight function, and search parameters.  Invalid
-    engines/contexts raise here, not at first iteration.
+    runs; it must have been built for the same table, weight function,
+    and search parameters.  An incompatible context raises here, not
+    at first iteration.
 
     ``first_pick`` threads a registration-time level-1 marginal cache
-    (:class:`~repro.core.first_pick.FirstPickCache`) into the search:
-    the first pick becomes a heap-build over cached marginals instead
-    of a full scan.  Picks are provably identical with or without it;
-    a cache built for a different ``(table, wf, mw)`` is ignored.
+    (:class:`~repro.core.first_pick.FirstPickCache`) into a context
+    built here: the first pick becomes a heap-build over cached
+    marginals instead of a full scan.  Picks are provably identical
+    with or without it; a cache built for a different
+    ``(table, wf, mw)`` is ignored.
     """
-    if engine not in ("incremental", "scratch"):
-        raise EngineError(f"unknown search engine {engine!r}")
     if context is not None:
         context.check_compatible(table, wf, mw, measures, max_rule_size, prune)
-    elif engine == "incremental":
+    else:
         context = SearchContext(
             table,
             wf,
@@ -141,27 +137,11 @@ def brs_iter(
             else initial_top.astype(np.float64).copy()
         )
         while True:
-            if context is not None:
-                result = context.find_best(top)
-            else:
-                result = find_best_marginal_rule(
-                    table,
-                    wf,
-                    top,
-                    mw,
-                    measures=measures,
-                    max_rule_size=max_rule_size,
-                    prune=prune,
-                    first_pick=first_pick,
-                )
+            result = context.find_best(top)
             if result is None:
                 return
-            if context is not None and context.last_rows is not None:
-                rows = context.last_rows
-                top[rows] = np.maximum(top[rows], result.weight)
-            else:
-                mask = cover_mask(result.rule, table)
-                top[mask] = np.maximum(top[mask], result.weight)
+            rows = context.last_rows
+            top[rows] = np.maximum(top[rows], result.weight)
             yield result
 
     return picks()
@@ -178,7 +158,6 @@ def brs(
     prune: bool = True,
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
-    engine: str = "incremental",
     first_pick=None,
 ) -> BRSResult:
     """Greedily select up to ``k`` rules maximising ``Score`` (Problem 3).
@@ -193,9 +172,8 @@ def brs(
         Number of rules requested; fewer are returned when no rule adds
         positive marginal value.
     mw:
-        Max-weight search parameter (see
-        :func:`repro.core.marginal.find_best_marginal_rule`); the
-        greedy guarantee holds when ``mw`` ≥ the heaviest rule in the
+        Max-weight search parameter (see :mod:`repro.core.marginal`);
+        the greedy guarantee holds when ``mw`` ≥ the heaviest rule in the
         optimal set.
     measures:
         Optional per-tuple measures for Sum aggregation (Section 6.3).
@@ -204,10 +182,9 @@ def brs(
     initial_top:
         Optional seed for the per-tuple selected-weight state (see
         :func:`brs_iter`).
-    context, engine:
-        Search-engine selection (see :func:`brs_iter`): the cached
-        CELF engine by default, ``engine="scratch"`` for one cold
-        search per pick, or an existing context to reuse its cache.
+    context, first_pick:
+        An existing search context to reuse, or a first-pick cache for
+        the context built here (see :func:`brs_iter`).
     """
     picks: list[MarginalResult] = []
     stats = SearchStats()
@@ -222,7 +199,6 @@ def brs(
         prune=prune,
         initial_top=initial_top,
         context=context,
-        engine=engine,
         first_pick=first_pick,
     ):
         picks.append(result)
@@ -244,7 +220,6 @@ def brs_time_limited(
     prune: bool = True,
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
-    engine: str = "incremental",
     first_pick=None,
 ) -> BRSResult:
     """Keep adding rules until a wall-clock budget runs out (§6.1).
@@ -272,7 +247,6 @@ def brs_time_limited(
         prune=prune,
         initial_top=initial_top,
         context=context,
-        engine=engine,
         first_pick=first_pick,
     ):
         picks.append(result)

@@ -17,8 +17,8 @@ Section 3.1:
   ``k`` = number of distinct values) and also provided as a direct
   group-by fast path; the two produce the same rule multiset.
 
-The engines read the clicked rule back out of the lifted weight and
-mine only the columns it leaves starred: its own columns are
+The engine reads the clicked rule back out of the lifted weight and
+mines only the columns it leaves starred: its own columns are
 single-valued on ``T_r'`` and could only duplicate candidates at a
 larger size, which lose every tie.
 
@@ -100,9 +100,10 @@ class DrillDownResult:
     ``rule_list`` holds the weight-sorted super-rules of the clicked
     rule with their Count/MCount on the mined table; ``subtable_rows``
     is ``|T_{r'}|``; ``stats`` aggregates the BRS search work.
-    ``context`` is the incremental-search state used — pass it back to
-    the same drill-down call to reuse the cached candidate lattice
-    (None when the scratch engine was requested).
+    ``context`` is the search state the two mining drill-downs used —
+    pass it back to the same drill-down call to reuse the cached
+    candidate lattice (None for a traditional drill-down, which does
+    not search).
     """
 
     parent: Rule
@@ -155,7 +156,6 @@ def rule_drilldown(
     max_rule_size: int | None = None,
     prune: bool = True,
     context: SearchContext | None = None,
-    engine: str = "incremental",
     first_pick=None,
 ) -> DrillDownResult:
     """Expand ``parent`` into its best rule-list of ``k`` super-rules.
@@ -167,7 +167,9 @@ def rule_drilldown(
     Parameters mirror :func:`repro.core.brs.brs`; ``measure`` selects
     Sum aggregation over a numeric column instead of Count.  Passing
     the ``context`` from a previous identical call (any ``k``) skips
-    the sub-table filtering and reuses the cached candidate lattice.
+    the sub-table filtering and reuses the cached candidate lattice;
+    ``first_pick`` feeds a fresh context (see
+    :func:`repro.core.brs.brs_iter`).
     """
     if len(parent) != table.n_columns:
         raise RuleError("parent rule arity does not match the table")
@@ -183,14 +185,12 @@ def rule_drilldown(
         subtable = table.filter(cover_mask(parent, table)) if not parent.is_trivial else table
         lifted = MergedWeight(wf, parent) if not parent.is_trivial else wf
         measures = tuple_measures(subtable, measure)
-        context = None
-        if engine == "incremental":
-            context = SearchContext(
-                subtable, lifted, mw, measures=measures,
-                max_rule_size=max_rule_size, prune=prune, first_pick=first_pick,
-            )
-            context.source = table
-            context.tag = tag
+        context = SearchContext(
+            subtable, lifted, mw, measures=measures,
+            max_rule_size=max_rule_size, prune=prune, first_pick=first_pick,
+        )
+        context.source = table
+        context.tag = tag
     # Seed the greedy with the parent already covering the sub-table at
     # its own weight: children earn credit only for the weight they add
     # beyond the parent, which is what the paper's Table 3 expansion
@@ -206,8 +206,6 @@ def rule_drilldown(
         prune=prune,
         initial_top=seed,
         context=context,
-        engine=engine,
-        first_pick=first_pick,
     )
     merged = _merge_with_parent(result.rules, parent)
     rule_list = RuleList(merged, subtable, wf, measures)
@@ -232,7 +230,6 @@ def star_drilldown(
     max_rule_size: int | None = None,
     prune: bool = True,
     context: SearchContext | None = None,
-    engine: str = "incremental",
     first_pick=None,
 ) -> DrillDownResult:
     """Expand the ``?`` in ``column`` of ``parent`` (Section 2.3).
@@ -264,14 +261,12 @@ def star_drilldown(
         lifted: WeightFunction = MergedWeight(wf, parent) if not parent.is_trivial else wf
         constrained = StarConstrainedWeight(lifted, column)
         measures = tuple_measures(subtable, measure)
-        context = None
-        if engine == "incremental":
-            context = SearchContext(
-                subtable, constrained, mw, measures=measures,
-                max_rule_size=max_rule_size, prune=prune, first_pick=first_pick,
-            )
-            context.source = table
-            context.tag = tag
+        context = SearchContext(
+            subtable, constrained, mw, measures=measures,
+            max_rule_size=max_rule_size, prune=prune, first_pick=first_pick,
+        )
+        context.source = table
+        context.tag = tag
     result = brs(
         subtable,
         constrained,
@@ -281,8 +276,6 @@ def star_drilldown(
         max_rule_size=max_rule_size,
         prune=prune,
         context=context,
-        engine=engine,
-        first_pick=first_pick,
     )
     merged = _merge_with_parent(result.rules, parent)
     rule_list = RuleList(merged, subtable, wf, measures)

@@ -1,10 +1,10 @@
-"""The counting primitive every search engine shares.
+"""The counting primitive of the search engine and the first-pick cache.
 
 Interactive latency is dominated by the level-wise a-priori counting of
 a search: for every surviving parent, two ``np.bincount`` passes per
 extension column over the parent's covered rows.  This module holds the
 one primitive that does that counting (:func:`count_parent_extensions`)
-for every engine.
+for the engine and the first-pick precompute.
 
 The counting primitive
 ----------------------
@@ -19,14 +19,11 @@ costs one gather of its codes plus the two bincounts.  For Count
 Counts come from an unweighted integer bincount.
 :func:`count_extensions_kernel` is its one-column case and
 :func:`count_tasks` regroups per-column :class:`CountTask` lists by
-parent for it; both are kept for the callers outside the engines.
+parent for it; both are kept for the callers outside the engine.
 
 Clients
 -------
 
-* :class:`~repro.core.marginal._Searcher` counts each surviving parent
-  as soon as it reaches it, so the pruning threshold tightens before
-  the next parent's bound check.
 * :class:`~repro.core.search_cache.SearchContext` counts its size-1
   build and every frontier expansion, one call per parent.
 * The serving catalog's first-pick marginal cache
@@ -95,7 +92,7 @@ def count_parent_extensions(
 ) -> list[_Counted]:
     """Count all value extensions of one parent on several columns.
 
-    The counting primitive shared by both engines and the first-pick
+    The counting primitive shared by the engine and the first-pick
     precompute — keeping it in one place is what makes them
     bit-identical to one another (see the module docstring).  For the
     parent covering ``rows`` (``None`` means the whole table) and each
@@ -144,6 +141,7 @@ def count_parent_extensions(
     return out
 
 
+# Kept for benchmarks/e2e (its layers pass times it and its tracer wraps it).
 def count_extensions_kernel(
     codes: np.ndarray,
     measures: np.ndarray,
@@ -213,6 +211,7 @@ def count_tasks(
 # -- compatibility names -----------------------------------------------------------
 
 
+# Kept for benchmarks/e2e (its layers pass builds one), with CountingPool.
 @dataclass
 class CountingBackend:
     """What :meth:`CountingPool.backend_for` returns: :func:`count_tasks`
@@ -233,6 +232,7 @@ class CountingBackend:
         return self.count_batch([CountTask(pos, pos, n, w, None) for pos, n, w in specs])
 
 
+# Kept for benchmarks/e2e (its layers pass times a batch through it).
 class CountingPool:
     """A compatibility name, not a pool: ``n_workers`` is ignored and
     every backend counts in the calling process."""

@@ -11,7 +11,7 @@ invariant state across picks:
 * **Candidate cache** — every eligible candidate ever counted is kept
   with its weight, (measure-weighted) Count, and covered-row index
   array.  Rows materialise lazily from the parent's propagated rows
-  (vertical row propagation, see :mod:`repro.core.marginal`) the first
+  (vertical row propagation, as in :mod:`repro.core.marginal`) the first
   time a candidate is re-evaluated or extended, and are pick-invariant
   from then on.  Re-evaluating a cached candidate's marginal under a
   new ``top`` therefore costs O(support), with no table pass and no
@@ -20,11 +20,11 @@ invariant state across picks:
   candidate's marginal value only *decreases* as the selected set
   grows: a marginal computed in an earlier pick is a valid upper bound
   now.  Candidates live in a max-heap keyed by their stale marginal
-  (ties: smaller size, then key order — exactly the from-scratch
-  searcher's ``_better`` order); a search repeatedly re-evaluates the
-  top entry under the current ``top`` until the top entry is fresh.
-  Every entry below a fresh top is provably no better, so it is never
-  touched (counted in ``SearchStats.lazy_skips``).
+  (ties: smaller size, then key order — exactly the reference search's
+  order); a search repeatedly re-evaluates the top entry under the
+  current ``top`` until the top entry is fresh.  Every entry below a
+  fresh top is provably no better, so it is never touched (counted in
+  ``SearchStats.lazy_skips``).
 * **Expansion frontier** — the cache only holds candidates some earlier
   search *generated*; the a-priori bound of Section 3.5 pruned the
   rest.  That bound depends on the current ``top``, so a subtree pruned
@@ -40,11 +40,11 @@ invariant state across picks:
 * **Free columns only** — under a drill-down's ``MergedWeight`` the
   lattice skips the clicked rule's own columns: single-valued on the
   filtered table, they only duplicate candidates at a larger size,
-  which lose every tie (``_free_positions`` in
-  :mod:`repro.core.marginal`).
+  which lose every tie (:func:`_free_positions`).
 
-**Correctness.**  The from-scratch search returns the maximum over all
-supported candidates of weight ≤ ``mw`` under the total order
+**Correctness.**  The reference search (:mod:`repro.core.marginal`,
+one cold Algorithm 2 run) returns the maximum over all supported
+candidates of weight ≤ ``mw`` under the total order
 (marginal desc, size asc, key asc) — pruning provably never removes
 the argmax, and the order does not depend on exploration order.  The
 incremental search returns the maximum of the same order over cached
@@ -53,9 +53,11 @@ loop guarantees no uncounted candidate can beat (or tie) the settled
 best: every uncounted candidate is a descendant of some frontier entry,
 whose fresh bound dominates the descendant's marginal.  Ties are
 expanded (``bound >= best``), not skipped, so tie-breaking by size/key
-also agrees.  The two engines therefore produce identical rule
-sequences — the equivalence tests in ``tests/core/test_incremental.py``
-assert this across weight functions, measures, pruning, and size caps.
+also agrees.  Every marginal, here and in the reference, is a left fold
+in row order (how ``np.bincount`` accumulates), so the engine and the
+reference produce identical rule sequences, bit for bit — the
+equivalence tests in ``tests/core/test_incremental.py`` assert this
+across weight functions, measures, pruning, and size caps.
 
 **Lifecycle and ownership.**  A context is bound to one (table, weight
 function, ``mw``, measures, ``max_rule_size``, ``prune``)
@@ -85,25 +87,17 @@ prototype last searched under.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.errors import RuleError
-from repro.core.marginal import (
-    MarginalResult,
-    SearchStats,
-    _column_set_weight,
-    _extension_weight,
-    _free_after,
-    _free_positions,
-    _key_columns,
-    _key_rule,
-)
+from repro.core.marginal import MarginalResult, SearchStats
 from repro.core.parallel import count_parent_extensions, nonunit_measures
 from repro.core.rule import Rule
-from repro.core.weights import WeightFunction
+from repro.core.weights import MergedWeight, StarConstrainedWeight, WeightFunction
 from repro.table.column import CategoricalColumn
 from repro.table.table import Table
 
@@ -111,6 +105,43 @@ __all__ = ["SearchContext"]
 
 # Candidate key, as in repro.core.marginal: ((cat_position, code), ...).
 _Key = tuple[tuple[int, int], ...]
+
+
+def _free_positions(
+    wf: WeightFunction, cat_positions: Sequence[int], codes: Sequence[np.ndarray]
+) -> list[int]:
+    """Categorical positions a search under ``wf`` enumerates, ascending.
+
+    A drill-down mines ``T_r'`` under ``MergedWeight(wf, r')`` (possibly
+    star-constrained), where every column of ``r'`` is single-valued:
+    a candidate ``K ∧ c`` with ``c`` on those columns covers the rows
+    of ``K`` at the weight and marginal of ``K`` but is larger, so it
+    loses the (marginal desc, size asc, key asc) order to ``K`` and can
+    never be the best rule.  The engine therefore skips the parent's
+    columns; under any other weight function every position is free.
+    ``codes[pos]`` is the code array at ``pos``: a skipped column that
+    holds two codes means the table was not filtered by the parent.
+    """
+    if isinstance(wf, StarConstrainedWeight):
+        wf = wf.base
+    if not isinstance(wf, MergedWeight):
+        return list(range(len(cat_positions)))
+    parent_columns = wf.parent.instantiated_indexes
+    free = []
+    for pos, idx in enumerate(cat_positions):
+        if idx not in parent_columns:
+            free.append(pos)
+        elif codes[pos].size and codes[pos].min() != codes[pos].max():
+            raise RuleError(
+                f"MergedWeight parent instantiates column {idx}, which is not "
+                "single-valued here: mine the table filtered by the parent"
+            )
+    return free
+
+
+def _free_after(free: Sequence[int], pos: int) -> Sequence[int]:
+    """The free positions after ``pos`` — where a key ending at ``pos`` extends."""
+    return free[bisect_right(free, pos):]
 
 
 @dataclass(slots=True)
@@ -143,7 +174,7 @@ class _Candidate:
 class SearchContext:
     """Persistent incremental-search state for one BRS configuration.
 
-    Parameters mirror :func:`repro.core.marginal.find_best_marginal_rule`
+    Parameters mirror the reference search's (:mod:`repro.core.marginal`)
     minus ``top``, which is supplied per search via :meth:`find_best`.
     ``prune=False`` reproduces the exploration of the unpruned ablation:
     the first search expands the full supported lattice (once — later
@@ -187,7 +218,7 @@ class SearchContext:
         limit = len(self._free)
         self.max_rule_size = limit if max_rule_size is None else min(max_rule_size, limit)
         self._requested_max_rule_size = max_rule_size
-        self.fast_weight = _column_set_weight(wf)
+        self.fast_weight = wf.column_set_weight()
         # Registration-time level-1 marginal cache (repro.core.first_pick):
         # valid only for a Count search over exactly this (table, wf, mw).
         # The remaining condition — top elementwise equal to the base
@@ -322,16 +353,15 @@ class SearchContext:
 
     # -- weights / rules -------------------------------------------------------
 
-    def _table_columns(self, key: _Key) -> tuple[int, ...]:
-        return _key_columns(key, self.cat_positions)
-
     def _rule_of(self, key: _Key) -> Rule:
-        return _key_rule(key, self.table, self.cat_positions)
-
-    def _weight_of(self, key: _Key) -> float:
-        if self.fast_weight is not None:
-            return self.fast_weight(self._table_columns(key))
-        return self.wf.weight(self._rule_of(key))
+        """Decode a candidate key into a :class:`Rule` over the table."""
+        items: dict[int, Any] = {}
+        for pos, code in key:
+            idx = self.cat_positions[pos]
+            col = self.table.column(idx)
+            assert isinstance(col, CategoricalColumn)
+            items[idx] = col.decode(code)
+        return Rule.from_items(self.table.n_columns, items)
 
     def _bound(self, cand: _Candidate) -> float:
         """The Section 3.5 bound on any descendant's current marginal."""
@@ -363,7 +393,9 @@ class SearchContext:
 
     def _ext_weight(self, parent_key: _Key, pos: int) -> float:
         """Fast-path weight shared by every value extension of a task."""
-        return _extension_weight(self.fast_weight, self.cat_positions, parent_key, pos)
+        columns = [self.cat_positions[p] for p, _ in parent_key]
+        columns.append(self.cat_positions[pos])
+        return self.fast_weight(tuple(sorted(columns)))
 
     def _insert_children(
         self,
@@ -380,8 +412,8 @@ class SearchContext:
 
         Children heavier than ``mw`` are discarded outright — they can
         never be a best rule and (by monotonicity) neither can any
-        super-rule, so the from-scratch searcher never extends them
-        either.  Every child of a task shares the task's weight.
+        super-rule, so the reference never extends them either.  Every
+        child of a task shares the task's weight.
         """
         stats.candidates_generated += supported.size
         if weight > self.mw:
@@ -411,15 +443,10 @@ class SearchContext:
         """Count and cache all value extensions of a parent on ``positions``.
 
         Children keep a borrowed reference to the parent's rows instead
-        of materialising their own (see :meth:`_rows`).
-
-        On the fast path the parent's per-column tasks are counted by
-        one :func:`~repro.core.parallel.count_parent_extensions` call.
-        That one primitive is what keeps this engine in lockstep with
-        ``_Searcher`` in :mod:`repro.core.marginal` — the engines'
-        bit-identical guarantee depends on it, and the equivalence
-        suites (``tests/core/test_incremental.py``,
-        ``tests/core/test_parallel.py``) pin it.
+        of materialising their own (see :meth:`_rows`).  On the fast
+        path the parent's per-column tasks are counted by one
+        :func:`~repro.core.parallel.count_parent_extensions` call, the
+        primitive the first-pick precompute shares.
         """
         if self.fast_weight is None:
             for pos in positions:
@@ -446,9 +473,9 @@ class SearchContext:
     ) -> None:
         """:meth:`_generate` for value-dependent weights, one column at a time.
 
-        One weighted bincount yields every child's Count; each child's
-        weight and MarginalValue (a pairwise sum — :meth:`_refresh`
-        stays in lockstep) are computed per value.
+        Each child is weighed from its rule; the per-value weights,
+        gathered per row, feed one weighted bincount, so every
+        MarginalValue is a left fold in row order as on the fast path.
         """
         n_values = self.distinct[pos]
         stats.rows_scanned += parent_rows.size
@@ -462,36 +489,18 @@ class SearchContext:
             top = self._top[parent_rows]
         counts = np.bincount(codes, weights=measures, minlength=n_values)
         supported = np.nonzero(counts > 0)[0]
-        size = len(parent_key) + 1
-        expandable = size < self.max_rule_size and bool(_free_after(self._free, pos))
-        for code in supported:
-            key = parent_key + ((pos, int(code)),)
-            stats.candidates_generated += 1
-            weight = self._weight_of(key)
-            covered = codes == code
-            marginal = float(
-                (np.maximum(weight - top[covered], 0.0) * measures[covered]).sum()
+        weights = np.zeros(n_values)
+        weights[supported] = [
+            self.wf.weight(self._rule_of(parent_key + ((pos, int(code)),)))
+            for code in supported
+        ]
+        gains = np.maximum(weights[codes] - top, 0.0) * measures
+        marginals = np.bincount(codes, weights=gains, minlength=n_values)
+        for i, code in enumerate(supported):
+            self._insert_children(
+                parent_key, parent_rows, pos, float(weights[code]), supported[i : i + 1],
+                counts[code : code + 1], marginals[code : code + 1], stats,
             )
-            if weight > self.mw:
-                continue
-            stats.candidates_eligible += 1
-            cand = _Candidate(
-                key=key,
-                weight=weight,
-                count=float(counts[code]),
-                marginal=marginal,
-                epoch=self._epoch,
-                heap_m=marginal,
-                heap_ub=0.0,
-                expandable=expandable,
-                parent_rows=parent_rows,
-            )
-            self._cands[key] = cand
-            self._generated_this_epoch += 1
-            heapq.heappush(self._vheap, (-marginal, size, key))
-            if expandable:
-                cand.heap_ub = self._bound(cand)
-                heapq.heappush(self._xheap, (-cand.heap_ub, size, key))
 
     def _build(self, stats: SearchStats) -> None:
         """Generate the size-1 level (the only full-table passes ever made)."""
@@ -516,29 +525,7 @@ class SearchContext:
         """Generate all extensions of a cached candidate from its rows."""
         stats.parents_extended += 1
         rows = self._rows(cand, stats)
-        positions = _free_after(self._free, cand.key[-1][0])
-        if (
-            self.first_pick is not None
-            and self._top_is_base
-            and len(cand.key) == 1
-            and self.first_pick.pair_limit > 0
-        ):
-            # Level-2: single-column parents expanded while top is
-            # still the base vector (i.e. to settle the very first
-            # pick) can be served from the bounded hot-pair cache;
-            # cold pairs are recorded through the access-stats hook
-            # and fall through to the normal scan.
-            p, code = cand.key[0]
-            cold: list[int] = []
-            for pos in positions:
-                served = self.first_pick.pair(p, code, pos)
-                if served is None:
-                    self.first_pick.note_pair(p, pos)
-                    cold.append(pos)
-                else:
-                    self._insert_children(cand.key, rows, pos, *served, stats)
-            positions = cold
-        self._generate(cand.key, rows, positions, stats)
+        self._generate(cand.key, rows, _free_after(self._free, cand.key[-1][0]), stats)
         cand.expanded = True
 
     # -- per-pick search -------------------------------------------------------
@@ -582,19 +569,13 @@ class SearchContext:
             np.maximum(gains, 0.0, out=gains)
             if self._count_measures is not None:
                 np.multiply(gains, np.take(self._count_measures, rows), out=gains)
-            if self.fast_weight is not None:
-                # A left fold in row order — the order in which the
-                # counting primitive's bincount fills this candidate's
-                # bin, so a marginal computed here equals, bit for bit,
-                # the one a counting pass (this context's build, a
-                # sibling clone's, or the scratch engine's) produces.
-                # numpy's pairwise .sum() differs in the last ulp,
-                # enough to flip near-ties between engines.
-                cand.marginal = float(np.add.accumulate(gains, out=gains)[-1])
-            else:
-                # Slow-path candidates are generated with a pairwise sum
-                # (see _generate_slow); stay in lockstep with that.
-                cand.marginal = float(gains.sum())
+            # A left fold in row order — the order in which a counting
+            # pass's bincount fills this candidate's bin, so a marginal
+            # computed here equals, bit for bit, the one a counting pass
+            # (this context's, a sibling clone's, or the reference's)
+            # produces.  numpy's pairwise .sum() differs in the last
+            # ulp, enough to flip near-ties.
+            cand.marginal = float(np.add.accumulate(gains, out=gains)[-1])
             stats.rows_scanned += rows.size
         stats.cache_hits += 1
         cand.epoch = self._epoch
@@ -662,9 +643,9 @@ class SearchContext:
         """Return the best marginal rule under ``top`` — Algorithm 2,
         served from the cache.
 
-        Provably identical to
-        :func:`repro.core.marginal.find_best_marginal_rule` on the same
-        configuration (see the module docstring's correctness argument).
+        Provably identical to the reference search
+        (:mod:`repro.core.marginal`) on the same configuration (see
+        the module docstring's correctness argument).
         The returned ``stats`` cover this search only;
         :attr:`total_stats` accumulates across searches.
 

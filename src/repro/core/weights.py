@@ -10,8 +10,9 @@ of how many tuples it covers.  The paper requires two properties, which
 
 All built-in functions depend only on *which* columns a rule
 instantiates (not on the values), which the class hierarchy encodes via
-:class:`ColumnSetWeight`; the best-marginal-rule search exploits this
-to evaluate weights per candidate column set instead of per rule.
+:class:`ColumnSetWeight`; the search engine exploits this (through
+:meth:`WeightFunction.column_set_weight`, which the drill-down wrappers
+lift) to evaluate weights per candidate column set instead of per rule.
 
 Built-ins:
 
@@ -79,6 +80,15 @@ class WeightFunction(ABC):
         """
         return None
 
+    def column_set_weight(self) -> Callable[[tuple[int, ...]], float] | None:
+        """``W`` as a function of the instantiated column set, when it is one.
+
+        The callable takes the table-column indexes in ascending order.
+        ``None`` (the default) means the weight depends on values, and
+        the search engine weighs every candidate rule on its own.
+        """
+        return None
+
 
 class ColumnSetWeight(WeightFunction):
     """A weight function that depends only on the instantiated column set.
@@ -94,6 +104,9 @@ class ColumnSetWeight(WeightFunction):
 
     def weight(self, rule: Rule) -> float:
         return self.weight_of_columns(rule.instantiated_indexes)
+
+    def column_set_weight(self) -> Callable[[tuple[int, ...]], float]:
+        return self.weight_of_columns
 
 
 class SizeWeight(ColumnSetWeight):
@@ -275,6 +288,13 @@ class StarConstrainedWeight(WeightFunction):
             return 0.0
         return self._base.weight(rule)
 
+    def column_set_weight(self) -> Callable[[tuple[int, ...]], float] | None:
+        inner = self._base.column_set_weight()
+        if inner is None:
+            return None
+        column = self._column
+        return lambda columns: inner(columns) if column in columns else 0.0
+
     def max_weight(self, n_columns: int) -> float | None:
         return self._base.max_weight(n_columns)
 
@@ -317,6 +337,13 @@ class MergedWeight(WeightFunction):
             # the filtered table; weight it as the candidate alone.
             return self._base.weight(rule)
         return self._base.weight(merged)
+
+    def column_set_weight(self) -> Callable[[tuple[int, ...]], float] | None:
+        inner = self._base.column_set_weight()
+        if inner is None:
+            return None
+        parent = frozenset(self._parent.instantiated_indexes)
+        return lambda columns: inner(tuple(sorted(parent.union(columns))))
 
     def max_weight(self, n_columns: int) -> float | None:
         return self._base.max_weight(n_columns)

@@ -40,10 +40,9 @@ class WeightFunctionError(ReproError):
 
 
 class EngineError(ReproError, ValueError):
-    """A search-engine selector or engine-level knob is invalid.
+    """A search-engine knob is invalid.
 
-    Raised by :func:`repro.core.brs.brs_iter` for an unknown ``engine``
-    name and by :func:`repro.core.brs.brs_time_limited` for a
+    Raised by :func:`repro.core.brs.brs_time_limited` for a
     non-positive time limit.  Dual-inherits :class:`ValueError` so
     pre-existing ``except ValueError`` call sites keep working; the
     HTTP front end maps it (via :class:`ReproError`) to 400.

@@ -148,11 +148,6 @@ class TableCatalog:
         fingerprint-checked like ``sample_dir``): stale or corrupt
         files are rejected — with a counter — and rebuilt, never
         served.
-    marginal_pairs, marginal_pair_threshold:
-        Bound the optional level-2 cache: at most ``marginal_pairs``
-        hot column pairs per cache (0 disables level 2), a pair
-        becoming hot after ``marginal_pair_threshold`` observed cold
-        expansions.
     """
 
     def __init__(
@@ -164,8 +159,6 @@ class TableCatalog:
         marginal_mw: float | None = None,
         marginal_weightings: Sequence[str] = ("size",),
         marginal_dir: str | os.PathLike | None = None,
-        marginal_pairs: int = 0,
-        marginal_pair_threshold: int = 2,
     ):
         if sample_budget is not None and sample_budget <= 0:
             raise ServingError("sample_budget must be a positive tuple count")
@@ -188,8 +181,6 @@ class TableCatalog:
         self._marginal_mw = None if marginal_mw is None else float(marginal_mw)
         self._marginal_weightings = tuple(marginal_weightings)
         self._marginal_dir = Path(marginal_dir) if marginal_dir is not None else None
-        self._marginal_pairs = int(marginal_pairs)
-        self._marginal_pair_threshold = int(marginal_pair_threshold)
         self._marginals: dict[str, dict[str, FirstPickCache]] = {}
         self._marginals_built = 0
         self._marginals_loaded = 0
@@ -406,23 +397,11 @@ class TableCatalog:
             cache = None
             old_cache = old_marginals.get(weighting) if old is not None else None
             if old_cache is not None and old_cache.table is old:
-                cache = extend_first_pick_cache(
-                    old_cache,
-                    table,
-                    wf,
-                    pair_limit=self._marginal_pairs,
-                    pair_threshold=self._marginal_pair_threshold,
-                )
+                cache = extend_first_pick_cache(old_cache, table, wf)
                 if cache is not None:
                     self._marginals_delta += 1
             if cache is None:
-                cache = build_first_pick_cache(
-                    table,
-                    wf,
-                    self._marginal_mw,
-                    pair_limit=self._marginal_pairs,
-                    pair_threshold=self._marginal_pair_threshold,
-                )
+                cache = build_first_pick_cache(table, wf, self._marginal_mw)
                 if cache is None:  # no categorical columns: nothing to serve
                     continue
                 self._marginals_built += 1
@@ -506,21 +485,13 @@ class TableCatalog:
                     self._marginal_mw,
                     fingerprint=fingerprint,
                     weighting=weighting,
-                    pair_limit=self._marginal_pairs,
-                    pair_threshold=self._marginal_pair_threshold,
                 )
                 if loaded is not None:
                     self._marginals_loaded += 1
                     caches[weighting] = loaded
                     continue
                 self._marginals_rejected += 1
-            cache = build_first_pick_cache(
-                table,
-                wf,
-                self._marginal_mw,
-                pair_limit=self._marginal_pairs,
-                pair_threshold=self._marginal_pair_threshold,
-            )
+            cache = build_first_pick_cache(table, wf, self._marginal_mw)
             if cache is None:  # no categorical columns: nothing to serve
                 continue
             self._marginals_built += 1
@@ -565,7 +536,6 @@ class TableCatalog:
         return {
             "mw": self._marginal_mw,
             "weightings": list(self._marginal_weightings),
-            "pair_limit": self._marginal_pairs,
             "built": self._marginals_built,
             "loaded": self._marginals_loaded,
             "rejected": self._marginals_rejected,
@@ -775,7 +745,8 @@ class TableCatalog:
                 "marginals_delta": self._marginals_delta,
                 "samples_lazy_rebuilt": self._samples_lazy_rebuilt,
                 "artifacts_purged": self._artifacts_purged,
-                # Always 0 (nothing is exported); benchmarks/e2e/metrics.py reads it.
+                # Kept for benchmarks/e2e (its metrics read it); always 0,
+                # since nothing is exported.
                 "exports_grown": 0,
                 "tables": tables,
             }

@@ -555,9 +555,6 @@ def main(argv: list[str] | None = None) -> None:
                         help="minimum weight the first-pick marginals are "
                              "built at; sessions with a different mw miss "
                              "the cache (default 5)")
-    parser.add_argument("--marginal-pairs", type=int, default=0,
-                        help="bounded level-2 pair cache size per table; "
-                             "0 disables (default 0)")
     parser.add_argument("--verbose", action="store_true", help="log requests")
     args = parser.parse_args(argv)
 
@@ -577,7 +574,6 @@ def main(argv: list[str] | None = None) -> None:
         default_error_target=args.error_target,
         marginal_cache=not args.no_marginal_cache,
         marginal_mw=args.marginal_mw,
-        marginal_pairs=args.marginal_pairs,
     )
     if args.shards and args.shards > 0:
         tier: DrillDownServer | ShardRouter = ShardRouter(

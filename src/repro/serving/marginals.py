@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.first_pick import FirstPickCache
+from repro.core.first_pick import FirstPickCache, level1_weights
 from repro.core.weights import WeightFunction
 from repro.errors import ReproError
 from repro.table.table import Table
@@ -127,8 +127,6 @@ def load_first_pick(
     *,
     fingerprint: str,
     weighting: str,
-    pair_limit: int = 0,
-    pair_threshold: int = 2,
 ) -> FirstPickCache | None:
     """Rebuild a persisted cache against the live ``table``/``wf``.
 
@@ -137,7 +135,9 @@ def load_first_pick(
     weighting name, ``mw``, row count — disagrees with the live state;
     the caller rebuilds and re-persists.  Arrays are shape- and
     bounds-checked so a corrupt file cannot smuggle malformed
-    candidates into the search.
+    candidates into the search, and every position's weight must equal
+    the live weighting's single-column weight: the fingerprint names
+    the weighting but does not pin its definition.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -150,17 +150,19 @@ def load_first_pick(
             or payload.get("n_rows") != table.n_rows
         ):
             return None
-        cat_positions = tuple(table.schema.categorical_indexes)
+        cat_positions = table.schema.categorical_indexes
+        weights = level1_weights(table, wf)
         records = payload["entries"]
-        if len(records) != len(cat_positions):
+        if weights is None or len(records) != len(weights):
             return None
         entries = []
-        for pos, record in enumerate(records):
+        for pos, (record, weight) in enumerate(zip(records, weights)):
             n_values = table.categorical(cat_positions[pos]).distinct_count
             supported = np.asarray(record["supported"], dtype=np.int64)
             counts = np.asarray(record["counts"], dtype=np.float64)
             marginals = np.asarray(record["marginals"], dtype=np.float64)
-            weight = float(record["weight"])
+            if float(record["weight"]) != weight:
+                return None
             if supported.ndim != 1 or not (
                 supported.size == counts.size == marginals.size
             ):
@@ -170,13 +172,6 @@ def load_first_pick(
             ):
                 return None
             entries.append((weight, supported, counts, marginals))
-        return FirstPickCache(
-            table,
-            wf,
-            mw,
-            entries,
-            pair_limit=pair_limit,
-            pair_threshold=pair_threshold,
-        )
+        return FirstPickCache(table, wf, mw, entries)
     except (OSError, ValueError, KeyError, TypeError, ReproError):
         return None

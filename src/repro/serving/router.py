@@ -167,7 +167,6 @@ class ShardRouter:
         marginal_cache: bool = True,
         marginal_mw: float = 5.0,
         marginal_weightings: tuple = ("size",),
-        marginal_pairs: int = 0,
         persist_dir: str | os.PathLike | None = None,
         persist_max_bytes: int | None = None,
         checkpoint_interval: float | None = None,
@@ -229,7 +228,6 @@ class ShardRouter:
             marginal_cache=marginal_cache,
             marginal_mw=marginal_mw,
             marginal_weightings=tuple(marginal_weightings),
-            marginal_pairs=marginal_pairs,
             persist_max_bytes=persist_max_bytes,
             checkpoint_interval=checkpoint_interval,
             reaper_interval=reaper_interval,

@@ -223,6 +223,7 @@ class FairScheduler:
                 pass
         self._cond.notify_all()
 
+    # Kept for benchmarks/e2e (its tracer times the wait for a turn).
     @contextmanager
     def dispatch_turn(
         self, tenant: Any, *, deadline_at: float | None = None

@@ -185,7 +185,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         marginal_cache: bool = True,
         marginal_mw: float = 5.0,
         marginal_weightings: tuple = ("size",),
-        marginal_pairs: int = 0,
     ):
         if default_approx and sample_budget is None:
             raise ServingError(
@@ -212,7 +211,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
             marginal_mw=float(marginal_mw) if marginal_cache else None,
             marginal_weightings=marginal_weightings,
             marginal_dir=marginal_dir,
-            marginal_pairs=marginal_pairs,
         )
         self.registry = SessionRegistry(
             max_sessions=max_sessions,

@@ -5,6 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import (
+    MergedWeight,
+    RuleList,
+    StarConstrainedWeight,
+    cover_mask,
+    reference_brs,
+    sort_rules_by_weight,
+    tuple_measures,
+)
 from repro.datasets import generate_census, generate_marketing, generate_retail
 from repro.table import Schema, Table
 
@@ -89,3 +98,32 @@ def random_table(
         tuple(f"v{rng.integers(domain)}" for _ in range(n_columns)) for _ in range(n_rows)
     ]
     return Table.from_rows(Schema.categorical(names), rows)
+
+
+def reference_drilldown(
+    table, parent, wf, k, mw, *, column=None, measure=None, max_rule_size=None
+):
+    """A drill-down computed by the reference search.
+
+    :func:`reference_brs` on ``T_parent`` under the lifted weight, from
+    the drill-down's seed ``top`` (the parent's weight for a rule
+    drill-down, nothing for a star drill-down on ``column``).  Returns
+    ``(picks, rule_list, seed)``: the reference's picks, the merged,
+    deduplicated and weight-sorted rule list a drill-down displays, and
+    the seed it started from.
+    """
+    subtable = table.filter(cover_mask(parent, table)) if not parent.is_trivial else table
+    lifted = MergedWeight(wf, parent) if not parent.is_trivial else wf
+    seed = np.full(subtable.n_rows, wf.weight(parent))
+    if column is not None:
+        lifted, seed = StarConstrainedWeight(lifted, column), None
+    measures = tuple_measures(subtable, measure)
+    picks = reference_brs(
+        subtable, lifted, k, mw, measures=measures, max_rule_size=max_rule_size,
+        initial_top=seed,
+    )
+    merged = []
+    for rule in sort_rules_by_weight([p.rule for p in picks], lifted):
+        if rule.merge(parent) not in merged:
+            merged.append(rule.merge(parent))
+    return picks, RuleList(merged, subtable, wf, measures), seed

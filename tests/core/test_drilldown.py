@@ -28,6 +28,7 @@ from repro.core import (
 from repro.errors import RuleError
 from repro.session import DrillDownSession
 from repro.table import Table
+from tests.conftest import reference_drilldown
 
 
 class TestRuleDrillDown:
@@ -191,9 +192,9 @@ class TestNumericColumnGuards:
 class _OpaqueMergedColumns(ColumnSetWeight):
     """``MergedWeight`` over a column-set base, with the parent hidden.
 
-    Same weights, bit for bit, but the engines cannot tell it lifts a
-    drill-down parent, so they enumerate the full lattice — parent
-    columns included — as they did before PR 19.
+    Same weights, bit for bit, but the engine cannot tell it lifts a
+    drill-down parent, so it enumerates the full lattice — parent
+    columns included — as it did before the free-column skip.
     """
 
     def __init__(self, base: ColumnSetWeight, parent: Rule):
@@ -205,7 +206,7 @@ class _OpaqueMergedColumns(ColumnSetWeight):
 
 
 class _OpaqueMergedCallable(WeightFunction):
-    """The same for a value-dependent base (the engines' slow path)."""
+    """The same for a value-dependent base (the engine's slow path)."""
 
     def __init__(self, base: WeightFunction, parent: Rule):
         self._merged = MergedWeight(base, parent)
@@ -268,7 +269,6 @@ def _drilldown_cases(draw):
         mw=draw(st.sampled_from([1.0, 2.0, 3.0, 4.5, 100.0])),
         measure=draw(st.sampled_from([None, "M"])),
         max_rule_size=draw(st.sampled_from([None, 1, 2])),
-        engine=draw(st.sampled_from(["incremental", "scratch"])),
     )
     return table, parent, star, params
 
@@ -290,18 +290,11 @@ def _assert_free_lattice_equals_reference(table, parent, star, wf, params):
     assert real.subtable_rows == reference.subtable_rows
     # Strictly fewer candidates counted — unless none is supported at all
     # (the covered tuples' measures sum to zero), when both count nothing.
-    if real.context is None:
-        # A scratch run reports the stats of its successful searches only.
-        generated = real.stats.candidates_generated, reference.stats.candidates_generated
-    else:
-        generated = tuple(
-            r.context.total_stats.candidates_generated for r in (real, reference)
-        )
+    generated = tuple(r.context.total_stats.candidates_generated for r in (real, reference))
     assert generated[0] < generated[1] or generated == (0, 0)
-    if real.context is not None:
-        cat = real.context.cat_positions
-        named = {cat[pos] for key in real.context._cands for pos, _code in key}
-        assert named.isdisjoint(parent.instantiated_indexes)
+    cat = real.context.cat_positions
+    named = {cat[pos] for key in real.context._cands for pos, _code in key}
+    assert named.isdisjoint(parent.instantiated_indexes)
 
 
 class TestFreeColumnLattice:
@@ -320,27 +313,35 @@ class TestFreeColumnLattice:
     @given(_drilldown_cases())
     def test_equals_full_lattice_on_the_slow_path(self, case):
         """A value-dependent weight under ``MergedWeight`` takes
-        ``_generate_slow`` / ``_count_extensions_slow``."""
+        ``_generate_slow``."""
         table, parent, star, params = case
         _assert_free_lattice_equals_reference(table, parent, star, _value_dependent_weight(), params)
 
-    @pytest.mark.parametrize("engine", ["incremental", "scratch"])
+    @pytest.mark.parametrize("oracle", ["incremental", "scratch"])
     @pytest.mark.parametrize("max_rule_size", [None, 1])
-    def test_leaf_with_no_free_column(self, tiny_table, engine, max_rule_size):
-        leaf, params = Rule(["a", "x", "p"]), dict(engine=engine, max_rule_size=max_rule_size)
+    def test_leaf_with_no_free_column(self, tiny_table, oracle, max_rule_size):
+        """Compared with the engine on the full lattice (``incremental``)
+        and with the reference search on ``T_leaf`` (``scratch``)."""
+        leaf, params = Rule(["a", "x", "p"]), dict(max_rule_size=max_rule_size)
         real = rule_drilldown(tiny_table, leaf, SizeWeight(), 2, 5.0, **params)
-        with _reference_lattice():
-            reference = rule_drilldown(tiny_table, leaf, SizeWeight(), 2, 5.0, **params)
-        assert real.rule_list.entries == reference.rule_list.entries
+        if oracle == "incremental":
+            with _reference_lattice():
+                reference = rule_drilldown(tiny_table, leaf, SizeWeight(), 2, 5.0, **params)
+            entries = reference.rule_list.entries
+        else:
+            _picks, rule_list, _seed = reference_drilldown(
+                tiny_table, leaf, SizeWeight(), 2, 5.0, **params
+            )
+            entries = rule_list.entries
+        assert real.rule_list.entries == entries
         assert real.rules == ()
         assert real.stats.candidates_generated == 0
 
     def test_unfiltered_table_is_rejected(self, tiny_table):
         """Skipping the parent's columns is sound on ``T_r'`` only."""
         wf = MergedWeight(SizeWeight(), Rule(["a", STAR, STAR]))
-        for engine in ("incremental", "scratch"):
-            with pytest.raises(RuleError, match="single-valued"):
-                brs(tiny_table, wf, 2, 3.0, engine=engine)
+        with pytest.raises(RuleError, match="single-valued"):
+            brs(tiny_table, wf, 2, 3.0)
 
     @pytest.mark.parametrize("max_rule_size", [None, 1, 3])
     def test_reexpansion_reuses_the_context(self, tiny_table, max_rule_size):
@@ -365,3 +366,36 @@ class TestFreeColumnLattice:
         assert [(n.rule, n.count) for n in session.expand(child)] == shown
         assert session._search_contexts[("rule", child, None)] is context
         assert context.total_stats.cache_hits > hits
+
+
+class TestReferenceOracle:
+    """Drill-downs ≡ the reference Algorithm 2 on the filtered table.
+
+    The reference enumerates every column, the clicked rule's own
+    included, so this checks the engine's free-column skip against
+    code that does not skip."""
+
+    @settings(deadline=None, max_examples=120)
+    @given(_drilldown_cases(), st.sampled_from(["size", "bits", "callable"]))
+    def test_drilldown_equals_reference_brs(self, case, weighting):
+        table, parent, star, params = case
+        wf = {
+            "size": SizeWeight(),
+            "bits": BitsWeight.for_table(table),
+            "callable": _value_dependent_weight(),
+        }[weighting]
+        real = _drill(table, parent, star, wf, params)
+        picks, rule_list, seed = reference_drilldown(
+            table, parent, wf, params["k"], params["mw"], column=star,
+            measure=params["measure"], max_rule_size=params["max_rule_size"],
+        )
+        assert real.rule_list.entries == rule_list.entries
+        # The drill-down's picks, replayed through the context it returned.
+        ctx = real.context
+        replay = brs(
+            ctx.table, ctx.wf, params["k"], params["mw"], measures=ctx.measures,
+            max_rule_size=params["max_rule_size"], initial_top=seed, context=ctx,
+        )
+        assert [(p.rule, p.weight, p.count, p.marginal) for p in replay.picks] == [
+            (p.rule, p.weight, p.count, p.marginal) for p in picks
+        ]

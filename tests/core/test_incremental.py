@@ -1,10 +1,11 @@
-"""Equivalence tests: the incremental engine ≡ the from-scratch greedy.
+"""Equivalence tests: the incremental engine ≡ the reference greedy.
 
 The cached/CELF engine (:mod:`repro.core.search_cache`) must return
 *byte-identical* rule lists, weights, counts, and marginals to a cold
-:func:`find_best_marginal_rule` per pick, across weight functions,
-Sum vs Count measures, pruning on/off, and rule-size caps — plus reuse
-the cache correctly across runs, drill-downs, and sessions.
+:func:`find_best_marginal_rule` per pick (:func:`reference_brs`),
+across weight functions, Sum vs Count measures, pruning on/off, and
+rule-size caps — plus reuse the cache correctly across runs,
+drill-downs, and sessions.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from repro.core import (
     BitsWeight,
+    CallableWeight,
     MergedWeight,
     Rule,
     STAR,
@@ -25,14 +27,15 @@ from repro.core import (
     brs_iter,
     cover_mask,
     find_best_marginal_rule,
+    reference_brs,
     rule_drilldown,
     star_drilldown,
     tuple_measures,
 )
 from repro.core.marginal import SearchStats
-from repro.errors import EngineError, RuleError
+from repro.errors import RuleError
 from repro.session import DrillDownSession
-from tests.conftest import random_table
+from tests.conftest import random_table, reference_drilldown
 
 
 def _weighting(name: str, table):
@@ -44,6 +47,15 @@ def _weighting(name: str, table):
         return SizeMinusOneWeight()
     if name == "star":
         return StarConstrainedWeight(SizeWeight(), min(1, table.n_columns - 1))
+    if name == "callable":
+        # Value-dependent (the engine's slow path): a column adds 1, or
+        # 1.25 for a value ending in "a" or "0".
+        return CallableWeight(
+            lambda rule: sum(
+                1.25 if str(rule[i])[-1] in "a0" else 1.0 for i in rule.instantiated_indexes
+            ),
+            name="value-bonus",
+        )
     raise AssertionError(name)
 
 
@@ -56,84 +68,94 @@ def _case(name: str, table):
     return table.filter(cover_mask(parent, table)), MergedWeight(SizeWeight(), parent)
 
 
-def _assert_identical(a, b):
+def _assert_identical(reference, result):
     """Byte-identical pick sequences: rules, weights, counts, marginals."""
-    assert [p.rule for p in a.picks] == [p.rule for p in b.picks]
-    assert [p.weight for p in a.picks] == [p.weight for p in b.picks]
-    assert [p.count for p in a.picks] == [p.count for p in b.picks]
-    assert [p.marginal for p in a.picks] == [p.marginal for p in b.picks]
+    assert [(p.rule, p.weight, p.count, p.marginal) for p in reference] == [
+        (p.rule, p.weight, p.count, p.marginal) for p in result.picks
+    ]
+
+
+def _assert_runs_identical(a, b):
+    """Two engine runs agree on picks and on the displayed rule list."""
+    _assert_identical(a.picks, b)
     assert a.rules == b.rules
     assert a.score == b.score
-    for ea, eb in zip(a.rule_list.entries, b.rule_list.entries):
-        assert (ea.rule, ea.weight, ea.count, ea.mcount) == (
-            eb.rule,
-            eb.weight,
-            eb.count,
-            eb.mcount,
-        )
+    assert a.rule_list.entries == b.rule_list.entries
 
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize(
-        "weighting", ["size", "bits", "size_minus_one", "merged", "star"]
+        "weighting", ["size", "bits", "size_minus_one", "merged", "star", "callable"]
     )
     @pytest.mark.parametrize("prune", [True, False])
     def test_weightings_on_tiny_table(self, tiny_table, weighting, prune):
         table, wf = _case(weighting, tiny_table)
-        scratch = brs(table, wf, 5, 3.0, prune=prune, engine="scratch")
-        lazy = brs(table, wf, 5, 3.0, prune=prune, engine="incremental")
-        _assert_identical(scratch, lazy)
+        reference = reference_brs(table, wf, 5, 3.0, prune=prune)
+        lazy = brs(table, wf, 5, 3.0, prune=prune)
+        _assert_identical(reference, lazy)
 
     @pytest.mark.parametrize("max_rule_size", [None, 1, 2])
     def test_rule_size_caps(self, tiny_table, max_rule_size):
         wf = SizeWeight()
-        scratch = brs(
-            tiny_table, wf, 4, 3.0, max_rule_size=max_rule_size, engine="scratch"
-        )
+        reference = reference_brs(tiny_table, wf, 4, 3.0, max_rule_size=max_rule_size)
         lazy = brs(tiny_table, wf, 4, 3.0, max_rule_size=max_rule_size)
-        _assert_identical(scratch, lazy)
+        _assert_identical(reference, lazy)
 
     @pytest.mark.parametrize("measure", [None, "Sales"])
     @pytest.mark.parametrize("prune", [True, False])
     def test_sum_vs_count_measures(self, measure_table, measure, prune):
         wf = SizeWeight()
         measures = tuple_measures(measure_table, measure)
-        scratch = brs(
-            measure_table, wf, 4, 2.0, measures=measures, prune=prune, engine="scratch"
-        )
+        reference = reference_brs(measure_table, wf, 4, 2.0, measures=measures, prune=prune)
         lazy = brs(measure_table, wf, 4, 2.0, measures=measures, prune=prune)
-        _assert_identical(scratch, lazy)
+        _assert_identical(reference, lazy)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_value_dependent_weight_sums_in_row_order(self, seed):
+        """Non-dyadic weights, measures and seed over a few hundred rows:
+        a marginal summed in any order but row order (numpy's pairwise
+        ``.sum()``, say) misses the reference by an ulp."""
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, n_rows=300, n_columns=3, domain=3)
+        wf = CallableWeight(
+            lambda rule: sum(0.1 * (1 + int(str(rule[i])[1:])) for i in rule.instantiated_indexes),
+            name="tenths",
+        )
+        measures = rng.random(table.n_rows)
+        seed_top = rng.random(table.n_rows) * 0.3
+        kwargs = dict(measures=measures, initial_top=seed_top)
+        _assert_identical(reference_brs(table, wf, 5, 1.5, **kwargs), brs(table, wf, 5, 1.5, **kwargs))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_tables(self, seed):
         rng = np.random.default_rng(seed)
         table = random_table(rng, n_rows=40, n_columns=4, domain=3)
-        for weighting in ("size", "bits", "star"):
+        for weighting in ("size", "bits", "star", "callable"):
             wf = _weighting(weighting, table)
-            scratch = brs(table, wf, 6, 3.0, engine="scratch")
+            reference = reference_brs(table, wf, 6, 3.0)
             lazy = brs(table, wf, 6, 3.0)
-            _assert_identical(scratch, lazy)
+            _assert_identical(reference, lazy)
 
     def test_initial_top_seeding(self, tiny_table):
         wf = SizeWeight()
         seed = np.full(tiny_table.n_rows, 1.0)
-        scratch = brs(tiny_table, wf, 3, 3.0, initial_top=seed, engine="scratch")
+        reference = reference_brs(tiny_table, wf, 3, 3.0, initial_top=seed)
         lazy = brs(tiny_table, wf, 3, 3.0, initial_top=seed)
-        _assert_identical(scratch, lazy)
+        _assert_identical(reference, lazy)
 
     def test_exhausts_identically(self, tiny_table):
-        """Both engines stop at the same pick when marginals dry up."""
+        """The engine stops at the reference's pick when marginals dry up."""
         wf = SizeWeight()
-        scratch = brs(tiny_table, wf, 100, 3.0, engine="scratch")
+        reference = reference_brs(tiny_table, wf, 100, 3.0)
         lazy = brs(tiny_table, wf, 100, 3.0)
-        assert len(scratch.picks) == len(lazy.picks) < 100
-        _assert_identical(scratch, lazy)
+        assert len(reference) == len(lazy.picks) < 100
+        _assert_identical(reference, lazy)
 
     def test_streaming_iter_equivalence(self, tiny_table):
         wf = SizeWeight()
-        scratch = [r.rule for r in brs_iter(tiny_table, wf, 3.0, engine="scratch")]
+        reference = [r.rule for r in reference_brs(tiny_table, wf, 100, 3.0)]
         lazy = [r.rule for r in brs_iter(tiny_table, wf, 3.0)]
-        assert scratch == lazy
+        assert reference == lazy
 
     def test_matches_single_search_sequence(self, tiny_table):
         """context.find_best ≡ find_best_marginal_rule pick by pick."""
@@ -164,7 +186,7 @@ class TestContextReuse:
         ctx = SearchContext(marketing7, wf, 5.0)
         first = brs(marketing7, wf, 4, 5.0, context=ctx)
         second = brs(marketing7, wf, 4, 5.0, context=ctx)
-        _assert_identical(first, second)
+        _assert_runs_identical(first, second)
         # The second run regenerates nothing: every candidate it needs
         # is already cached.
         assert second.stats.candidates_generated == 0
@@ -177,7 +199,7 @@ class TestContextReuse:
         ctx = SearchContext(tiny_table, wf, 3.0)
         small = brs(tiny_table, wf, 2, 3.0, context=ctx)
         large = brs(tiny_table, wf, 4, 3.0, context=ctx)
-        fresh = brs(tiny_table, wf, 4, 3.0, engine="scratch")
+        fresh = reference_brs(tiny_table, wf, 4, 3.0)
         assert [p.rule for p in large.picks[:2]] == [p.rule for p in small.picks]
         _assert_identical(fresh, large)
 
@@ -197,13 +219,6 @@ class TestContextReuse:
             brs(tiny_table, wf, 2, 3.0, prune=False, context=ctx)
         with pytest.raises(RuleError):
             brs(tiny_table, SizeWeight(), 2, 3.0, context=ctx)  # different wf object
-
-    def test_unknown_engine_rejected(self, tiny_table):
-        # EngineError subclasses ValueError, so both spellings catch it.
-        with pytest.raises(EngineError):
-            brs(tiny_table, SizeWeight(), 2, 3.0, engine="warp")
-        with pytest.raises(ValueError):
-            brs(tiny_table, SizeWeight(), 2, 3.0, engine="warp")
 
 
 class TestDrilldownReuse:
@@ -233,9 +248,8 @@ class TestDrilldownReuse:
             marketing7.n_columns, {0: marketing7.categorical(0).decode(0)}
         )
         lazy = rule_drilldown(marketing7, parent, wf, 3, 5.0)
-        cold = rule_drilldown(marketing7, parent, wf, 3, 5.0, engine="scratch")
-        assert cold.context is None
-        assert lazy.rules == cold.rules
+        _picks, rule_list, _seed = reference_drilldown(marketing7, parent, wf, 3, 5.0)
+        assert lazy.rule_list.entries == rule_list.entries
 
     def test_stale_context_rebuilt(self, tiny_table, measure_table):
         """A context from another table/parent is ignored, not an error."""
@@ -245,7 +259,7 @@ class TestDrilldownReuse:
         first = rule_drilldown(tiny_table, parent_a, wf, 2, 3.0)
         second = rule_drilldown(tiny_table, parent_b, wf, 2, 3.0, context=first.context)
         assert second.context is not first.context
-        cold = rule_drilldown(tiny_table, parent_b, wf, 2, 3.0, engine="scratch")
+        _picks, cold, _seed = reference_drilldown(tiny_table, parent_b, wf, 2, 3.0)
         assert second.rules == cold.rules
 
     def test_star_drilldown_context_roundtrip(self, tiny_table):
@@ -257,7 +271,7 @@ class TestDrilldownReuse:
         )
         assert second.context is first.context
         assert first.rules == second.rules
-        cold = star_drilldown(tiny_table, parent, 1, wf, 2, 3.0, engine="scratch")
+        _picks, cold, _seed = reference_drilldown(tiny_table, parent, wf, 2, 3.0, column=1)
         assert first.rules == cold.rules
 
 
@@ -292,6 +306,7 @@ class TestSearchStatsCounters:
         assert a.rows_scanned == 10
 
     def test_scratch_engine_reports_no_cache_work(self, tiny_table):
-        result = brs(tiny_table, SizeWeight(), 3, 3.0, engine="scratch")
-        assert result.stats.cache_hits == 0
-        assert result.stats.lazy_skips == 0
+        """The reference searches from scratch on every pick."""
+        for pick in reference_brs(tiny_table, SizeWeight(), 3, 3.0):
+            assert pick.stats.cache_hits == 0
+            assert pick.stats.lazy_skips == 0

@@ -1,9 +1,9 @@
 """Differential equivalence & invalidation suite for the first-pick cache.
 
 The cache's contract is *bit-identity*: a search served cached level-1
-(or level-2) marginals must return exactly — not approximately — the
-rule lists the cold scan returns, across both engines, every weighting
-in the fast family, near-tie tables, and mw edge values.  The lifecycle
+marginals must return exactly — not approximately — the rule lists the
+cold scan and the reference search return, across every weighting in
+the fast family, near-tie tables, and mw edge values.  The lifecycle
 half pins strict ``(table fingerprint, weighting, mw)`` keying: a
 changed table, a corrupt file, or a mismatched parameter must rebuild,
 never serve stale marginals.
@@ -21,10 +21,12 @@ from repro.core import (
     CallableWeight,
     Rule,
     STAR,
+    SearchContext,
     SizeMinusOneWeight,
     SizeWeight,
     brs,
     find_best_marginal_rule,
+    reference_brs,
     top_weights,
 )
 from repro.core.first_pick import FirstPickCache, build_first_pick_cache
@@ -56,6 +58,11 @@ def picks_of(result):
     return [(p.rule, p.weight, p.count, p.marginal) for p in result.picks]
 
 
+def reference_picks(table, wf, k, mw):
+    """:func:`picks_of` for the reference greedy."""
+    return [(p.rule, p.weight, p.count, p.marginal) for p in reference_brs(table, wf, k, mw)]
+
+
 def near_tie_table() -> Table:
     """Columns B and C are exact copies of A: every level-1 marginal
     ties exactly, so any tie-break drift between the cached heap-build
@@ -68,34 +75,41 @@ class TestDifferentialEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("weighting", ["size", "bits", "size_minus_one"])
     @pytest.mark.parametrize("mw", [0.5, 3.0, 100.0])
-    @pytest.mark.parametrize("engine", ["incremental", "scratch"])
-    def test_brs_bit_identical(self, seed, weighting, mw, engine):
+    @pytest.mark.parametrize("oracle", ["incremental", "scratch"])
+    def test_brs_bit_identical(self, seed, weighting, mw, oracle):
+        """A cached run ≡ the engine's cold run (``incremental``) and ≡
+        the reference greedy (``scratch``)."""
         rng = np.random.default_rng(seed)
         table = random_table(rng, n_rows=40, n_columns=4, domain=4)
         wf = make_weight(weighting, table)
         cache = build_first_pick_cache(table, wf, mw)
         assert cache is not None
-        cold = brs(table, wf, 3, mw, engine=engine)
-        warm = brs(table, wf, 3, mw, engine=engine, first_pick=cache)
-        assert picks_of(warm) == picks_of(cold)
-        assert warm.rule_list.rules == cold.rule_list.rules
+        warm = brs(table, wf, 3, mw, first_pick=cache)
+        if oracle == "incremental":
+            cold = brs(table, wf, 3, mw)
+            assert picks_of(warm) == picks_of(cold)
+            assert warm.rule_list.rules == cold.rule_list.rules
+        else:
+            assert picks_of(warm) == reference_picks(table, wf, 3, mw)
         assert cache.hits >= 1
 
-    @pytest.mark.parametrize("engine", ["incremental", "scratch"])
-    def test_exact_ties_break_identically(self, engine):
+    @pytest.mark.parametrize("oracle", ["incremental", "scratch"])
+    def test_exact_ties_break_identically(self, oracle):
         table = near_tie_table()
         wf = SizeWeight()
         cache = build_first_pick_cache(table, wf, 3.0)
-        cold = brs(table, wf, 4, 3.0, engine=engine)
-        warm = brs(table, wf, 4, 3.0, engine=engine, first_pick=cache)
-        assert picks_of(warm) == picks_of(cold)
+        warm = brs(table, wf, 4, 3.0, first_pick=cache)
+        if oracle == "incremental":
+            assert picks_of(warm) == picks_of(brs(table, wf, 4, 3.0))
+        else:
+            assert picks_of(warm) == reference_picks(table, wf, 4, 3.0)
 
     def test_first_pick_search_parity_and_hit(self, tiny_table):
         wf = SizeWeight()
         cache = build_first_pick_cache(tiny_table, wf, 3.0)
         top = np.zeros(tiny_table.n_rows)
         cold = find_best_marginal_rule(tiny_table, wf, top, 3.0)
-        warm = find_best_marginal_rule(tiny_table, wf, top, 3.0, first_pick=cache)
+        warm = SearchContext(tiny_table, wf, 3.0, first_pick=cache).find_best(top)
         assert (warm.rule, warm.weight, warm.count, warm.marginal) == (
             cold.rule, cold.weight, cold.count, cold.marginal
         )
@@ -106,7 +120,7 @@ class TestDifferentialEquivalence:
         cache = build_first_pick_cache(tiny_table, wf, 3.0)
         top = top_weights([Rule(["a", "x", STAR])], tiny_table, wf)
         cold = find_best_marginal_rule(tiny_table, wf, top, 3.0)
-        warm = find_best_marginal_rule(tiny_table, wf, top, 3.0, first_pick=cache)
+        warm = SearchContext(tiny_table, wf, 3.0, first_pick=cache).find_best(top)
         assert (warm.rule, warm.marginal) == (cold.rule, cold.marginal)
         assert cache.hits == 0 and cache.misses >= 1
 
@@ -119,9 +133,9 @@ class TestDifferentialEquivalence:
         cache = build_first_pick_cache(tiny_table, wf, 3.0)
         ones = np.ones(tiny_table.n_rows)
         top = np.zeros(tiny_table.n_rows)
-        warm = find_best_marginal_rule(
-            tiny_table, wf, top, 3.0, measures=ones, first_pick=cache
-        )
+        warm = SearchContext(
+            tiny_table, wf, 3.0, measures=ones, first_pick=cache
+        ).find_best(top)
         cold = find_best_marginal_rule(tiny_table, wf, top, 3.0)
         assert (warm.rule, warm.marginal) == (cold.rule, cold.marginal)
         assert cache.hits == 1
@@ -134,9 +148,9 @@ class TestDifferentialEquivalence:
         measures = tuple_measures(measure_table, "Sales")
         top = np.zeros(measure_table.n_rows)
         cold = find_best_marginal_rule(measure_table, wf, top, 3.0, measures=measures)
-        warm = find_best_marginal_rule(
-            measure_table, wf, top, 3.0, measures=measures, first_pick=cache
-        )
+        warm = SearchContext(
+            measure_table, wf, 3.0, measures=measures, first_pick=cache
+        ).find_best(top)
         assert (warm.rule, warm.marginal) == (cold.rule, cold.marginal)
         assert cache.hits == 0 and cache.misses >= 1
 
@@ -144,7 +158,7 @@ class TestDifferentialEquivalence:
         wf = SizeWeight()
         cache = build_first_pick_cache(tiny_table, wf, 3.0)
         top = np.zeros(tiny_table.n_rows)
-        warm = find_best_marginal_rule(tiny_table, wf, top, 2.0, first_pick=cache)
+        warm = SearchContext(tiny_table, wf, 2.0, first_pick=cache).find_best(top)
         cold = find_best_marginal_rule(tiny_table, wf, top, 2.0)
         assert (warm.rule, warm.marginal) == (cold.rule, cold.marginal)
         assert cache.hits == 0 and cache.misses >= 1
@@ -160,34 +174,6 @@ class TestDifferentialEquivalence:
     def test_no_categoricals_builds_nothing(self):
         table = Table.from_dict({"x": [1.0, 2.0, 3.0]})
         assert build_first_pick_cache(table, SizeWeight(), 3.0) is None
-
-
-class TestLevel2Pairs:
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_pair_cache_bit_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        table = random_table(rng, n_rows=60, n_columns=4, domain=3)
-        wf = SizeWeight()
-        cache = build_first_pick_cache(table, wf, 4.0, pair_limit=16, pair_threshold=1)
-        cold = brs(table, wf, 5, 4.0, engine="incremental")
-        warm = brs(table, wf, 5, 4.0, engine="incremental", first_pick=cache)
-        assert picks_of(warm) == picks_of(cold)
-        assert cache.pairs_built > 0
-
-    def test_pair_limit_zero_never_builds(self, tiny_table):
-        cache = build_first_pick_cache(tiny_table, SizeWeight(), 3.0)
-        cache.note_pair(0, 1)
-        cache.note_pair(0, 1)
-        assert cache.pairs_built == 0 and cache.describe()["pairs"] == 0
-
-    def test_pair_threshold_gates_build(self, tiny_table):
-        cache = build_first_pick_cache(
-            tiny_table, SizeWeight(), 3.0, pair_limit=4, pair_threshold=2
-        )
-        cache.note_pair(0, 1)
-        assert cache.pairs_built == 0
-        cache.note_pair(0, 1)
-        assert cache.pairs_built == 1
 
 
 class TestSessionEquivalence:
@@ -284,6 +270,23 @@ class TestPersistenceRoundTrip:
         payload["entries"][0]["supported"] = [99] * len(
             payload["entries"][0]["supported"]
         )
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert (
+            load_first_pick(path, tiny_table, wf, 3.0, fingerprint=fp, weighting="size")
+            is None
+        )
+
+    def test_tampered_weight_rejected(self, tiny_table, tmp_path):
+        """The fingerprint names the weighting but not its definition, so
+        a file whose weight disagrees with the live weighting (tampered,
+        or written under a changed definition) must not be served."""
+        wf = SizeWeight()
+        built = build_first_pick_cache(tiny_table, wf, 3.0)
+        fp = table_fingerprint(tiny_table)
+        path = tmp_path / "t.size.marginals.json"
+        save_first_pick(built, path, fingerprint=fp, weighting="size")
+        payload = json.loads(path.read_text())
+        payload["entries"][1]["weight"] = 2.0
         path.write_text(json.dumps(payload), encoding="utf-8")
         assert (
             load_first_pick(path, tiny_table, wf, 3.0, fingerprint=fp, weighting="size")
@@ -432,6 +435,30 @@ class TestCatalogLifecycle:
             stats = second.marginal_stats()
             assert stats["rejected"] == 1 and stats["built"] == 1
             assert second.marginals_for("t", "size", 3.0) is not None
+        finally:
+            second.close()
+
+    def test_tampered_weight_counted_and_rebuilt(self, tmp_path):
+        first = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
+        first.register("t", self.make_table())
+        first.close()
+        for path in tmp_path.glob("*.marginals.json"):
+            payload = json.loads(path.read_text())
+            payload["entries"][0]["weight"] = 7.0
+            path.write_text(json.dumps(payload), encoding="utf-8")
+
+        second = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
+        try:
+            registered = second.register("t", self.make_table())
+            stats = second.marginal_stats()
+            assert stats["rejected"] == 1 and stats["built"] == 1
+            served = second.marginals_for("t", "size", 3.0)
+            rebuilt = build_first_pick_cache(registered, served.wf, 3.0)
+            assert [e[0] for e in served.entries] == [1.0] * registered.n_columns
+            for a, b in zip(served.entries, rebuilt.entries):
+                assert a[0] == b[0]
+                for x, y in zip(a[1:], b[1:]):
+                    assert np.array_equal(x, y)
         finally:
             second.close()
 

@@ -133,7 +133,6 @@ def run_replay(
     sample_budget: int | None = None,
     approx: bool = False,
     marginal_cache: bool = True,
-    marginal_pairs: int = 0,
     append_prob: float = 0.0,
 ) -> int:
     rng = np.random.default_rng(seed)
@@ -150,10 +149,10 @@ def run_replay(
             )
     with DrillDownServer(
         default_deadline=default_deadline, sample_budget=sample_budget,
-        marginal_cache=marginal_cache, marginal_pairs=marginal_pairs,
+        marginal_cache=marginal_cache,
     ) as server, ShardRouter(
         n_shards, default_deadline=default_deadline, sample_budget=sample_budget,
-        marginal_cache=marginal_cache, marginal_pairs=marginal_pairs,
+        marginal_cache=marginal_cache,
     ) as router:
         for name, table in tables.items():
             server.register_table(name, table)
@@ -355,13 +354,6 @@ class TestMultiTenantReplayParity:
         paths in one run."""
         performed = run_replay(4, n_shards, marginal_cache=enabled)
         assert performed >= 15
-
-    @pytest.mark.cache
-    def test_replay_parity_with_level2_pair_cache(self):
-        """Same transcript invariant with the bounded level-2 pair
-        cache switched on in both serving tiers."""
-        performed = run_replay(5, 2, steps=40, marginal_pairs=8)
-        assert performed >= 25
 
     @pytest.mark.versioning
     @pytest.mark.parametrize("n_shards", [1, 2, 4])

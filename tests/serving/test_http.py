@@ -196,13 +196,13 @@ class TestErrorMappingRegressions:
         root = {"rule": [None, None, None, None]}
 
         def bad_engine(*args, **kwargs):
-            raise EngineError("unknown search engine 'warp'")
+            raise EngineError("time_limit_seconds must be positive")
 
         monkeypatch.setattr(tier, "expand", bad_engine)
         status, body = call(base, "POST", f"/sessions/{sid}/expand", root)
         assert status == 400
         assert body["error"] == "EngineError"
-        assert "warp" in body["message"]
+        assert "time_limit_seconds" in body["message"]
 
         def bad_params(*args, **kwargs):
             raise ParameterError("target_fraction must be in [0, 1]")
@@ -215,15 +215,15 @@ class TestErrorMappingRegressions:
     def test_core_validation_raises_typed_and_legacy_catchable(self):
         """The dual inheritance contract: new typed classes are still
         ValueErrors, so pre-existing except-clauses keep working."""
-        from repro.core.brs import brs_iter, brs_time_limited
+        from repro.core.brs import brs_time_limited
         from repro.core.params import exponent_for_target_fraction, kkt_analysis
         from repro.errors import EngineError, ParameterError, ReproError
 
         with pytest.raises(EngineError):
-            brs_iter(None, None, 3.0, engine="warp")
+            brs_time_limited(None, None, 3.0, 0.0)
         with pytest.raises(ReproError):  # and via the typed base
-            brs_iter(None, None, 3.0, engine="warp")
-        with pytest.raises(EngineError):
+            brs_time_limited(None, None, 3.0, -1.0)
+        with pytest.raises(ValueError):  # and via the legacy base
             brs_time_limited(None, None, 3.0, 0.0)
         with pytest.raises(ParameterError):
             exponent_for_target_fraction([0.5], 1.5)

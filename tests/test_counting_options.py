@@ -1,8 +1,10 @@
-"""The counting-pool options are gone from every layer, with no shim.
+"""Removed options are gone from every layer, with no shim.
 
 Counting runs in one place, in the caller's process, so no entry point
 takes a worker count, a pool, or a pool-scheduler tenant label any
-more.  Each case asserts the keyword is absent from the signature and
+more.  One engine serves every search, so nothing takes an ``engine``
+selector, and the reference search takes no first-pick cache.  The
+level-2 pair cache is gone, and with it every knob that sized it.  Each case asserts the keyword is absent from the signature and
 that the callable swallows no unknown keywords either, so passing one
 is a ``TypeError`` rather than a silently ignored option.
 ``DrillDownSession`` keeps its own ``tenant``: that one is an opaque
@@ -24,7 +26,9 @@ from repro.core import (
     rule_drilldown,
     star_drilldown,
 )
+from repro.core.first_pick import build_first_pick_cache, extend_first_pick_cache
 from repro.serving import ContextStore, DrillDownServer, ShardRouter, TableCatalog
+from repro.serving.marginals import load_first_pick
 from repro.serving.http import main as http_main
 from repro.session import DrillDownSession
 
@@ -57,6 +61,22 @@ REMOVED = [
     (ShardRouter, "n_workers"),
     (ContextStore.lease, "pool"),
     (ContextStore.lease, "tenant"),
+    (brs, "engine"),
+    (brs_iter, "engine"),
+    (brs_time_limited, "engine"),
+    (rule_drilldown, "engine"),
+    (star_drilldown, "engine"),
+    (find_best_marginal_rule, "first_pick"),
+    (DrillDownServer, "marginal_pairs"),
+    (ShardRouter, "marginal_pairs"),
+    (TableCatalog, "marginal_pairs"),
+    (TableCatalog, "marginal_pair_threshold"),
+    (build_first_pick_cache, "pair_limit"),
+    (build_first_pick_cache, "pair_threshold"),
+    (extend_first_pick_cache, "pair_limit"),
+    (extend_first_pick_cache, "pair_threshold"),
+    (load_first_pick, "pair_limit"),
+    (load_first_pick, "pair_threshold"),
 ]
 
 
@@ -80,3 +100,10 @@ def test_http_cli_has_no_workers_flag(capsys):
         http_main(["--workers", "2"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
+def test_http_cli_has_no_marginal_pairs_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        http_main(["--marginal-pairs", "8"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --marginal-pairs" in capsys.readouterr().err
