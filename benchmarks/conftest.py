@@ -8,8 +8,7 @@ assert alongside timing.
 Smoke mode — ``pytest benchmarks/bench_*.py -m smoke`` — selects the
 fast subset that emits the committed ``BENCH_*.json`` perf records.
 That covers the engine bench (incremental search) *and* the serving
-tier: ``bench_persistence.py`` (checkpoint/warm restart) and
-``bench_sharded_serving.py`` (1 vs N shard worker processes).  The
+tier, e.g. ``bench_persistence.py`` (checkpoint/warm restart).  The
 ``smoke`` marker is registered in the repo-root ``pytest.ini``; the
 registration below keeps ``pytest`` runs rooted inside ``benchmarks/``
 warning-free too.

@@ -56,7 +56,6 @@ from repro.core import (
 )
 from repro.errors import ReproError
 from repro.sampling import Sample, SampleHandler
-from repro.serving import DrillDownServer, ShardRouter
 from repro.session import DrillDownSession
 from repro.storage import DiskTable
 from repro.table import (
@@ -123,3 +122,14 @@ __all__ = [
     "write_csv",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The serving tier loads on first use, so that importing the
+    # engine or a session (``import repro.session``) pulls in nothing
+    # from ``repro.serving``.
+    if name in ("DrillDownServer", "ShardRouter"):
+        from repro import serving
+
+        return getattr(serving, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")

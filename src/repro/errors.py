@@ -127,9 +127,9 @@ class UnknownSessionError(ServingError):
 class SnapshotError(ServingError):
     """A session snapshot cannot be written or decoded.
 
-    Raised when a session's state is not representable in the on-disk
-    snapshot format (e.g. an unserialisable rule value) and —
-    internally — when a stored snapshot fails to decode.  The
+    Raised when a session's state is not representable in the internal
+    JSON form of :mod:`repro.codec` (e.g. an unserialisable rule value)
+    and when a stored snapshot or an encoded value fails to decode.  The
     :class:`~repro.serving.persistence.SnapshotStore` *skips* undecodable
     and stale-version files with a counter rather than propagating this
     at load time, so one corrupt snapshot can never block a warm

@@ -37,12 +37,11 @@ The subsystem is wired together by
 
 The ``tree`` record is written last and doubles as the completeness
 terminator: a torn or truncated file has no tree and is skipped as
-corrupt.  Rule values are tagged arrays (``["*"]`` for the wildcard,
-``["s", "Walmart"]``, ``["i", 3]``, ``["f", 1.5]``, ``["b", true]``,
-``["n"]`` for a literal ``None`` value, ``["iv", lo, hi, closed]`` for
-bucketized :class:`~repro.table.bucketize.Interval`\\ s) so every
-value type a rule can hold round-trips exactly; counts and weights
-round-trip bit-exactly through JSON's ``repr``-based float encoding.
+corrupt.  The tree and the expansion records are the session's own
+JSON form (:func:`~repro.session.session.encode_node`,
+:func:`~repro.session.session.encode_record`), whose rule values are
+the tagged arrays of :mod:`repro.codec`; this module only adds the
+envelope.
 
 Recency is persisted as *idle seconds* plus a wall-clock ``saved_at``
 (monotonic clocks do not survive a restart): on restore the idle age
@@ -61,17 +60,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.core.rule import STAR, Rule, Wildcard
 from repro.errors import SnapshotError
-from repro.table.bucketize import Interval
+from repro.session.session import decode_node, decode_record
 
 __all__ = [
     "SNAPSHOT_VERSION",
     "ReaperThread",
     "SessionSnapshot",
     "SnapshotStore",
-    "decode_rule",
-    "encode_rule",
 ]
 
 #: Version stamped into every snapshot's meta record.  Readers skip
@@ -86,112 +82,6 @@ _SNAPSHOT_SUFFIX = ".jsonl"
 _SAFE_ID = re.compile(r"[A-Za-z0-9._-]+")
 
 
-# -- value / rule encoding -------------------------------------------------------
-
-
-def _encode_value(value: Any) -> list:
-    """One rule value as a tagged JSON array (see module docstring)."""
-    if isinstance(value, Wildcard):
-        return ["*"]
-    if value is None:
-        return ["n"]
-    if isinstance(value, bool):
-        return ["b", value]
-    if isinstance(value, str):
-        return ["s", value]
-    if isinstance(value, int):
-        return ["i", int(value)]
-    if isinstance(value, float):
-        return ["f", float(value)]
-    if isinstance(value, Interval):
-        return ["iv", value.lo, value.hi, value.closed_right]
-    # Dictionary-encoded columns can surface numpy scalars; map them to
-    # their Python equivalents (equality and hashing agree, so decoded
-    # rules still match the table's values).
-    item = getattr(value, "item", None)
-    if callable(item):
-        return _encode_value(item())
-    raise SnapshotError(
-        f"rule value {value!r} ({type(value).__name__}) is not snapshot-serialisable"
-    )
-
-
-def _decode_value(encoded: Any) -> Any:
-    if not isinstance(encoded, list) or not encoded:
-        raise SnapshotError(f"malformed encoded rule value: {encoded!r}")
-    tag = encoded[0]
-    if tag == "*":
-        return STAR
-    if tag == "n":
-        return None
-    if tag in ("s", "b"):
-        return encoded[1]
-    if tag == "i":
-        return int(encoded[1])
-    if tag == "f":
-        return float(encoded[1])
-    if tag == "iv":
-        return Interval(float(encoded[1]), float(encoded[2]), bool(encoded[3]))
-    raise SnapshotError(f"unknown rule-value tag {tag!r}")
-
-
-def encode_rule(rule: Rule) -> list:
-    """A rule as one tagged JSON array per column."""
-    return [_encode_value(v) for v in rule]
-
-
-def decode_rule(encoded: Any) -> Rule:
-    """Invert :func:`encode_rule`."""
-    if not isinstance(encoded, list):
-        raise SnapshotError(f"malformed encoded rule: {encoded!r}")
-    return Rule([_decode_value(v) for v in encoded])
-
-
-def _encode_node(node_state: dict) -> dict:
-    # "estimate" (approximate-expansion metadata) is written only when
-    # the node state carries one, keeping exact snapshots byte-stable
-    # across the approx feature's introduction.
-    encoded = {
-        "rule": encode_rule(node_state["rule"]),
-        "count": node_state["count"],
-        "weight": node_state["weight"],
-        "depth": node_state["depth"],
-        "expanded_via": node_state["expanded_via"],
-        "children": [_encode_node(c) for c in node_state["children"]],
-    }
-    if node_state.get("estimate") is not None:
-        encoded["estimate"] = node_state["estimate"]
-    return encoded
-
-
-def _decode_node(encoded: dict) -> dict:
-    decoded = {
-        "rule": decode_rule(encoded["rule"]),
-        "count": float(encoded["count"]),
-        "weight": float(encoded["weight"]),
-        "depth": int(encoded["depth"]),
-        "expanded_via": encoded.get("expanded_via"),
-        "children": [_decode_node(c) for c in encoded.get("children", ())],
-    }
-    estimate = encoded.get("estimate")
-    if estimate is not None:
-        decoded["estimate"] = dict(estimate)
-    return decoded
-
-
-def _encode_record(record_state: dict) -> dict:
-    out = dict(record_state)
-    out["rule"] = encode_rule(record_state["rule"])
-    out["record"] = "expansion"
-    return out
-
-
-def _decode_record(encoded: dict) -> dict:
-    out = {key: value for key, value in encoded.items() if key != "record"}
-    out["rule"] = decode_rule(encoded["rule"])
-    return out
-
-
 # -- the snapshot ----------------------------------------------------------------
 
 
@@ -200,10 +90,9 @@ class SessionSnapshot:
     """One session's durable state, ready to write or just read.
 
     ``state`` is exactly what
-    :meth:`~repro.session.DrillDownSession.snapshot` returned (rules
-    are live :class:`~repro.core.rule.Rule` objects; encoding happens
-    at the file boundary).  The remaining fields are the serving-tier
-    envelope: identity, configuration name, and recency.
+    :meth:`~repro.session.DrillDownSession.snapshot` returned (already
+    JSON-ready).  The remaining fields are the serving-tier envelope:
+    identity, configuration name, and recency.
     """
 
     session_id: str
@@ -307,11 +196,7 @@ class SnapshotStore:
     # -- write / delete ----------------------------------------------------------
 
     def save(self, snapshot: SessionSnapshot) -> Path:
-        """Write ``snapshot`` atomically; returns the final path.
-
-        Raises :class:`~repro.errors.SnapshotError` when the state is
-        not representable (e.g. an exotic rule-value type).
-        """
+        """Write ``snapshot`` atomically; returns the final path."""
         path = self._path(snapshot.session_id)
         state = snapshot.state
         meta = {
@@ -332,8 +217,8 @@ class SnapshotStore:
             "saved_at": snapshot.saved_at,
         }
         lines = [json.dumps(meta)]
-        lines.extend(json.dumps(_encode_record(r)) for r in state["history"])
-        lines.append(json.dumps({"record": "tree", "root": _encode_node(state["tree"])}))
+        lines.extend(json.dumps({**r, "record": "expansion"}) for r in state["history"])
+        lines.append(json.dumps({"record": "tree", "root": state["tree"]}))
         payload = "\n".join(lines) + "\n"
         tmp = path.with_name(path.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
         try:
@@ -440,7 +325,11 @@ class SnapshotStore:
 
     def load(self, session_id: str) -> SessionSnapshot:
         """Decode one snapshot; raises :class:`SnapshotError` on any defect."""
-        return self._decode(self._path(session_id))
+        path = self._path(session_id)
+        try:
+            return self._decode(path)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SnapshotError(f"{path.name}: malformed snapshot: {exc!r}") from None
 
     def load_all(self) -> list[SessionSnapshot]:
         """Every decodable current-version snapshot, least-recent first.
@@ -479,16 +368,21 @@ class SnapshotStore:
             )
         if not body or body[-1].get("record") != "tree":
             raise SnapshotError(f"{path.name}: truncated snapshot (no tree terminator)")
-        history = [_decode_record(r) for r in body[:-1] if r.get("record") == "expansion"]
-        if len(history) != len(body) - 1:
+        if any(r.get("record") != "expansion" for r in body[:-1]):
             raise SnapshotError(f"{path.name}: unrecognised record kind in body")
+        history = [{k: v for k, v in r.items() if k != "record"} for r in body[:-1]]
+        tree = body[-1]["root"]
+        # Decode once to check: a defect surfaces here, not at restore.
+        decode_node(tree)
+        for record in history:
+            decode_record(record)
         state = {
             "k": int(meta["k"]),
             "mw": float(meta["mw"]),
             "measure": meta["measure"],
             "tenant": meta["tenant"],
             "columns": list(meta["columns"]),
-            "tree": _decode_node(body[-1]["root"]),
+            "tree": tree,
             "history": history,
         }
         return SessionSnapshot(

@@ -43,6 +43,7 @@ import threading
 import time
 from pathlib import Path
 
+from repro.codec import encode_rule, encode_table, encode_value
 from repro.core.rule import Rule
 from repro.errors import (
     CircuitOpenError,
@@ -54,13 +55,12 @@ from repro.errors import (
     UnknownTableError,
 )
 from repro.serving.faults import ChaosPolicy, CircuitBreaker, ShardWatchdog
-from repro.serving.persistence import _SNAPSHOT_SUFFIX, _encode_value, encode_rule
+from repro.serving.persistence import _SNAPSHOT_SUFFIX
 from repro.serving.shard import (
     ShardBusyError,
     ShardProcess,
     ShardWedgedError,
     decode_node,
-    encode_table,
 )
 from repro.session.session import SessionNode
 from repro.table.table import Table
@@ -538,7 +538,9 @@ class ShardRouter:
     def _session_request(
         self, session_id: str, op: str, args: dict, *, deadline: float | None = None
     ):
-        """Route ``op`` to the session's shard, optionally retrying.
+        """Route ``op`` over ``session_id`` to the session's shard,
+        optionally retrying.  ``args`` are the verb's other arguments;
+        a ``rule`` among them is encoded here.
 
         Only ops in :data:`_RETRYABLE_OPS` are ever retried, and only
         when ``read_retries > 0`` was configured: after a
@@ -549,6 +551,9 @@ class ShardRouter:
         retrying would spend the caller's remaining patience on a
         shard that already said no.
         """
+        args = {"session_id": session_id, **args}
+        if args.get("rule") is not None:
+            args["rule"] = encode_rule(args["rule"])
         attempts = 1 + (self._read_retries if op in _RETRYABLE_OPS else 0)
         last: ShardDownError | None = None
         for attempt in range(attempts):
@@ -705,12 +710,14 @@ class ShardRouter:
                 f"no table {name!r} is registered (register it first)"
             )
         normalized = [tuple(row) for row in rows]
-        encoded_rows = [[_encode_value(v) for v in row] for row in normalized]
+        # The local mirror goes first: a row the table cannot hold is
+        # refused with the in-process error, before the shard sees it.
+        new_table = held.append_rows(normalized)
+        encoded_rows = [[encode_value(v) for v in row] for row in normalized]
         shard = self._shard(self._placement(name))
         result = self._request(
             shard, "append_rows", {"name": name, "rows": encoded_rows}, use_default=False
         )
-        new_table = held.append_rows(normalized)
         with self._lock:
             # Lost-update guard: only advance the mirror if nobody
             # re-registered/replaced the table while the pipe was busy.
@@ -762,10 +769,9 @@ class ShardRouter:
             {"table": table, "tenant": tenant, "wf": wf, "k": k, "mw": mw, "measure": measure},
             deadline=deadline,
         )
-        session_id = result["session_id"]
         with self._lock:
-            self._sessions[session_id] = (shard.index, table)
-        return session_id
+            self._sessions[result] = (shard.index, table)
+        return result
 
     def session_columns(
         self, session_id: str, *, deadline: float | None = None
@@ -779,10 +785,9 @@ class ShardRouter:
             return held.column_names
         # Restored session over a table this router never held (e.g.
         # registered by a previous incarnation): ask the shard.
-        result = self._session_request(
-            session_id, "session_columns", {"session_id": session_id}, deadline=deadline
+        return tuple(
+            self._session_request(session_id, "session_columns", {}, deadline=deadline)
         )
-        return tuple(result["columns"])
 
     def close_session(self, session_id: str) -> bool:
         try:
@@ -796,12 +801,9 @@ class ShardRouter:
         finally:
             with self._lock:
                 self._sessions.pop(session_id, None)
-        return bool(result["closed"])
+        return bool(result)
 
     # -- operations --------------------------------------------------------------
-
-    def _decode_children(self, result: dict) -> list[SessionNode]:
-        return [decode_node(c) for c in result["children"]]
 
     def expand(
         self,
@@ -813,19 +815,9 @@ class ShardRouter:
         error_target: float | None = None,
         deadline: float | None = None,
     ) -> list[SessionNode]:
-        result = self._session_request(
-            session_id,
-            "expand",
-            {
-                "session_id": session_id,
-                "rule": None if rule is None else encode_rule(rule),
-                "k": k,
-                "approx": approx,
-                "error_target": error_target,
-            },
-            deadline=deadline,
-        )
-        return self._decode_children(result)
+        args = {"rule": rule, "k": k, "approx": approx, "error_target": error_target}
+        result = self._session_request(session_id, "expand", args, deadline=deadline)
+        return [decode_node(c) for c in result]
 
     def expand_star(
         self,
@@ -838,20 +830,15 @@ class ShardRouter:
         error_target: float | None = None,
         deadline: float | None = None,
     ) -> list[SessionNode]:
-        result = self._session_request(
-            session_id,
-            "expand_star",
-            {
-                "session_id": session_id,
-                "rule": encode_rule(rule),
-                "column": column,
-                "k": k,
-                "approx": approx,
-                "error_target": error_target,
-            },
-            deadline=deadline,
-        )
-        return self._decode_children(result)
+        args = {
+            "rule": rule,
+            "column": column,
+            "k": k,
+            "approx": approx,
+            "error_target": error_target,
+        }
+        result = self._session_request(session_id, "expand_star", args, deadline=deadline)
+        return [decode_node(c) for c in result]
 
     def expand_traditional(
         self,
@@ -864,30 +851,22 @@ class ShardRouter:
         error_target: float | None = None,
         deadline: float | None = None,
     ) -> list[SessionNode]:
+        args = {
+            "rule": rule,
+            "column": column,
+            "k": k,
+            "approx": approx,
+            "error_target": error_target,
+        }
         result = self._session_request(
-            session_id,
-            "expand_traditional",
-            {
-                "session_id": session_id,
-                "rule": encode_rule(rule),
-                "column": column,
-                "k": k,
-                "approx": approx,
-                "error_target": error_target,
-            },
-            deadline=deadline,
+            session_id, "expand_traditional", args, deadline=deadline
         )
-        return self._decode_children(result)
+        return [decode_node(c) for c in result]
 
     def collapse(
         self, session_id: str, rule: Rule, *, deadline: float | None = None
     ) -> None:
-        self._session_request(
-            session_id,
-            "collapse",
-            {"session_id": session_id, "rule": encode_rule(rule)},
-            deadline=deadline,
-        )
+        self._session_request(session_id, "collapse", {"rule": rule}, deadline=deadline)
 
     def render(
         self,
@@ -896,19 +875,11 @@ class ShardRouter:
         sort_display_by_count: bool = False,
         deadline: float | None = None,
     ) -> str:
-        result = self._session_request(
-            session_id,
-            "render",
-            {"session_id": session_id, "sort_display_by_count": sort_display_by_count},
-            deadline=deadline,
-        )
-        return result["text"]
+        args = {"sort_display_by_count": sort_display_by_count}
+        return self._session_request(session_id, "render", args, deadline=deadline)
 
     def tree(self, session_id: str, *, deadline: float | None = None) -> SessionNode:
-        result = self._session_request(
-            session_id, "tree", {"session_id": session_id}, deadline=deadline
-        )
-        return decode_node(result["root"])
+        return decode_node(self._session_request(session_id, "tree", {}, deadline=deadline))
 
     # -- maintenance -------------------------------------------------------------
 
@@ -923,7 +894,7 @@ class ShardRouter:
                 )
             except ShardDownError:
                 continue  # restarted; its sessions were just restored clean
-            written += int(result["written"])
+            written += int(result)
         return written
 
     def reap(self) -> list[str]:
@@ -935,7 +906,7 @@ class ShardRouter:
                 result = self._request(shard, "reap", {}, use_default=False)
             except ShardDownError:
                 continue
-            evicted.extend(result["evicted"])
+            evicted.extend(result)
         if evicted:
             with self._lock:
                 for sid in evicted:

@@ -38,11 +38,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.codec import decode_rule, encode_rule
 from repro.core.rule import Rule, cover_mask
 from repro.errors import ReproError, ServingError
 from repro.sampling.allocation import GroupSpec, LeafSpec, allocate_dp
 from repro.sampling.sample import Sample
-from repro.serving.persistence import decode_rule, encode_rule
 from repro.table.table import Table
 
 __all__ = [

@@ -726,9 +726,15 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
             # half-attached) and clear the flag optimistically; the
             # disk write happens outside the lock so one slow fsync
             # never stalls the session's own requests.
-            state = entry.session.snapshot()
-            expansions = entry.expansions
             entry.dirty = False
+            try:
+                state = entry.session.snapshot()
+            except SnapshotError:
+                state = None  # an unserialisable rule value
+            expansions = entry.expansions
+        if state is None:
+            self._deterministic_checkpoint_failure(entry, now)
+            return False
         snapshot = SessionSnapshot(
             session_id=entry.session_id,
             table=entry.table,
@@ -751,15 +757,7 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
                 self.checkpoint_errors += 1
             return False
         except SnapshotError:
-            # Deterministic (an unserialisable rule value): re-marking
-            # dirty would re-serialise the doomed tree every sweep
-            # forever.  Stamp the attempt so sweeps stay quiet until
-            # the next touch or mutation — which may well remove the
-            # offending node.
-            with entry.lock:
-                entry.checkpointed_at = now
-            with self._persist_lock:
-                self.checkpoint_errors += 1
+            self._deterministic_checkpoint_failure(entry, now)
             return False
         # A close/eviction can race the sweep: its on_evict hook may
         # have deleted the snapshot *before* our save re-created it,
@@ -772,6 +770,16 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         with entry.lock:
             entry.checkpointed_at = now
         return True
+
+    def _deterministic_checkpoint_failure(self, entry: SessionEntry, now: float) -> None:
+        """Re-marking dirty would re-serialise the doomed tree every
+        sweep forever.  Stamp the attempt so sweeps stay quiet until
+        the next touch or mutation — which may well remove the
+        offending node."""
+        with entry.lock:
+            entry.checkpointed_at = now
+        with self._persist_lock:
+            self.checkpoint_errors += 1
 
     def _on_registry_evict(self, entry: SessionEntry, reason: str) -> None:
         """Orphan cleanup: an evicted/closed session's snapshot goes

@@ -12,15 +12,18 @@ and the protocol both sides speak:
   exactly a length prefix followed by the payload).  One request, one
   response, matched by ``id``; the router serialises requests per
   shard, so the pipe never interleaves frames.
-* **Value encoding** — rules travel as the snapshot format's tagged
-  value arrays (:func:`~repro.serving.persistence.encode_rule`), so
-  every value a rule can hold — strings, ints, floats, ``None``,
-  bucketized intervals — round-trips exactly; counts and weights
-  round-trip bit-exactly through JSON's ``repr``-based float encoding.
-  Tables cross the pipe once, at registration, as dictionary +
-  codes per categorical column (the dictionary *order* is preserved,
-  so the decoded table's integer codes — and therefore every mining
-  tie-break — are identical to the original's).
+* **Value encoding** — one codec for everything a frame carries:
+  rules and tables in the tagged-array form of :mod:`repro.codec`,
+  displayed nodes via :func:`~repro.session.session.encode_node`
+  (the snapshot files' own node form).  Counts and weights round-trip
+  bit-exactly, and a decoded table's dictionary codes — hence every
+  mining tie-break — match the original's.
+* **One verb dispatcher** — an op names a
+  :class:`~repro.serving.DrillDownServer` verb from a fixed whitelist;
+  the worker decodes a ``rule`` argument, calls the verb with the
+  frame's arguments and encodes any :class:`SessionNode` in the
+  result.  Only ``ping``, ``register_table``, ``append_rows`` and
+  ``replace_table`` have bodies of their own.
 * **Error encoding** — a typed :class:`~repro.errors.ReproError`
   raised by the shard's server is sent back by class name and
   re-raised *as itself* on the router side, so the HTTP error mapping
@@ -46,17 +49,11 @@ import threading
 import time
 from typing import Any
 
-import numpy as np
-
 from repro import errors as _errors_module
-from repro.core.rule import Rule
+from repro.codec import decode_rule, decode_table, decode_value
 from repro.errors import ReproError, ShardError, TenantBudgetError
 from repro.serving.faults import ChaosPolicy
-from repro.serving.persistence import _decode_value, _encode_value, decode_rule, encode_rule
-from repro.session.session import SessionNode
-from repro.table.column import CategoricalColumn, NumericColumn
-from repro.table.schema import ColumnKind, ColumnSchema, Schema
-from repro.table.table import Table
+from repro.session.session import SessionNode, decode_node, encode_node
 
 __all__ = [
     "ShardBusyError",
@@ -64,10 +61,8 @@ __all__ = [
     "ShardWedgedError",
     "decode_error",
     "decode_node",
-    "decode_table",
     "encode_error",
     "encode_node",
-    "encode_table",
     "shard_main",
 ]
 
@@ -86,90 +81,6 @@ class ShardBusyError(TimeoutError):
     shard is saturated serving *other* requests, not proven sick.  The
     pipe was never touched — the handle stays usable and the breaker
     is not charged."""
-
-
-# -- wire encoding: tables -------------------------------------------------------
-
-
-def encode_table(table: Table) -> dict:
-    """A table as JSON: per-column dictionary + codes (categorical) or
-    float data (numeric).  Dictionary order is preserved — decoded
-    codes are bit-identical, so mining tie-breaks cannot drift."""
-    columns = []
-    for col_schema in table.schema:
-        if col_schema.is_categorical:
-            col = table.categorical(col_schema.name)
-            columns.append(
-                {
-                    "kind": "categorical",
-                    "name": col_schema.name,
-                    "values": [_encode_value(v) for v in col.values],
-                    "codes": col.codes.tolist(),
-                }
-            )
-        else:
-            col = table.numeric(col_schema.name)
-            columns.append(
-                {"kind": "numeric", "name": col_schema.name, "data": col.data.tolist()}
-            )
-    return {"columns": columns, "rows": table.n_rows}
-
-
-def decode_table(spec: dict) -> Table:
-    """Invert :func:`encode_table`."""
-    entries: list[ColumnSchema] = []
-    columns: list[CategoricalColumn | NumericColumn] = []
-    for col in spec["columns"]:
-        if col["kind"] == "categorical":
-            entries.append(ColumnSchema(col["name"], ColumnKind.CATEGORICAL))
-            columns.append(
-                CategoricalColumn(
-                    np.asarray(col["codes"], dtype=np.int32),
-                    [_decode_value(v) for v in col["values"]],
-                )
-            )
-        else:
-            entries.append(ColumnSchema(col["name"], ColumnKind.NUMERIC))
-            columns.append(NumericColumn(np.asarray(col["data"], dtype=np.float64)))
-    return Table(Schema(entries), columns)
-
-
-# -- wire encoding: displayed nodes ----------------------------------------------
-
-
-def encode_node(node: SessionNode) -> dict:
-    """A displayed node and its whole subtree as JSON (exact floats).
-
-    ``estimate`` (approximate-expansion metadata, already JSON
-    primitives) is written only when present, so exact responses keep
-    their pre-approx wire bytes.
-    """
-    payload = {
-        "rule": encode_rule(node.rule),
-        "count": float(node.count),
-        "weight": float(node.weight),
-        "depth": int(node.depth),
-        "expanded_via": node.expanded_via,
-        "children": [encode_node(c) for c in node.children],
-    }
-    if node.estimate is not None:
-        payload["estimate"] = dict(node.estimate)
-    return payload
-
-
-def decode_node(payload: dict) -> SessionNode:
-    """Invert :func:`encode_node`."""
-    estimate = payload.get("estimate")
-    node = SessionNode(
-        rule=decode_rule(payload["rule"]),
-        count=float(payload["count"]),
-        weight=float(payload["weight"]),
-        depth=int(payload["depth"]),
-        expanded_via=payload.get("expanded_via"),
-        estimate=dict(estimate) if estimate is not None else None,
-    )
-    node.children = [decode_node(c) for c in payload.get("children", ())]
-    return node
 
 
 # -- wire encoding: errors -------------------------------------------------------
@@ -242,10 +153,6 @@ def decode_error(payload: dict, *, shard: int | None = None) -> BaseException:
 # -- the worker loop -------------------------------------------------------------
 
 
-def _maybe_rule(encoded: Any) -> Rule | None:
-    return None if encoded is None else decode_rule(encoded)
-
-
 def _op_ping(server, args: dict) -> dict:
     return {"pid": os.getpid(), "tables": list(server.tables())}
 
@@ -267,15 +174,8 @@ def _op_register_table(server, args: dict) -> dict:
     }
 
 
-def _op_unregister_table(server, args: dict) -> dict:
-    server.unregister_table(args["name"])
-    return {}
-
-
 def _op_append_rows(server, args: dict) -> dict:
-    # Rows travel as the snapshot format's tagged value arrays, so every
-    # value type a cell can hold round-trips exactly (intervals included).
-    rows = [[_decode_value(v) for v in row] for row in args["rows"]]
+    rows = [[decode_value(v) for v in row] for row in args["rows"]]
     return server.append_rows(args["name"], rows)
 
 
@@ -283,118 +183,53 @@ def _op_replace_table(server, args: dict) -> dict:
     return server.replace_table(args["name"], decode_table(args["table"]))
 
 
-def _op_tables(server, args: dict) -> dict:
-    return {"tables": list(server.tables())}
-
-
-def _op_create_session(server, args: dict) -> dict:
-    session_id = server.create_session(
-        args["table"],
-        tenant=args.get("tenant", "default"),
-        wf=args.get("wf", "size"),
-        k=args.get("k", 3),
-        mw=args.get("mw", 5.0),
-        measure=args.get("measure"),
-    )
-    entry = server.registry.peek(session_id)
-    return {
-        "session_id": session_id,
-        "table_version": None if entry is None else entry.table_version,
-    }
-
-
-def _op_expand(server, args: dict) -> dict:
-    children = server.expand(
-        args["session_id"],
-        _maybe_rule(args.get("rule")),
-        k=args.get("k"),
-        approx=args.get("approx"),
-        error_target=args.get("error_target"),
-    )
-    return {"children": [encode_node(c) for c in children]}
-
-
-def _op_expand_star(server, args: dict) -> dict:
-    children = server.expand_star(
-        args["session_id"],
-        decode_rule(args["rule"]),
-        args["column"],
-        k=args.get("k"),
-        approx=args.get("approx"),
-        error_target=args.get("error_target"),
-    )
-    return {"children": [encode_node(c) for c in children]}
-
-
-def _op_expand_traditional(server, args: dict) -> dict:
-    children = server.expand_traditional(
-        args["session_id"],
-        decode_rule(args["rule"]),
-        args["column"],
-        k=args.get("k"),
-        approx=args.get("approx"),
-        error_target=args.get("error_target"),
-    )
-    return {"children": [encode_node(c) for c in children]}
-
-
-def _op_collapse(server, args: dict) -> dict:
-    server.collapse(args["session_id"], decode_rule(args["rule"]))
-    return {}
-
-
-def _op_render(server, args: dict) -> dict:
-    text = server.render(
-        args["session_id"],
-        sort_display_by_count=bool(args.get("sort_display_by_count", False)),
-    )
-    return {"text": text}
-
-
-def _op_tree(server, args: dict) -> dict:
-    return {"root": encode_node(server.tree(args["session_id"]))}
-
-
-def _op_session_columns(server, args: dict) -> dict:
-    return {"columns": list(server.session_columns(args["session_id"]))}
-
-
-def _op_close_session(server, args: dict) -> dict:
-    return {"closed": server.close_session(args["session_id"])}
-
-
-def _op_stats(server, args: dict) -> dict:
-    return server.stats()
-
-
-def _op_checkpoint_all(server, args: dict) -> dict:
-    return {"written": server.checkpoint_all(only_dirty=bool(args.get("only_dirty", True)))}
-
-
-def _op_reap(server, args: dict) -> dict:
-    return {"evicted": server.reap()}
-
-
-_OP_HANDLERS = {
+_OWN_BODY_OPS = {
     "ping": _op_ping,
     "register_table": _op_register_table,
-    "unregister_table": _op_unregister_table,
     "append_rows": _op_append_rows,
     "replace_table": _op_replace_table,
-    "tables": _op_tables,
-    "create_session": _op_create_session,
-    "expand": _op_expand,
-    "expand_star": _op_expand_star,
-    "expand_traditional": _op_expand_traditional,
-    "collapse": _op_collapse,
-    "render": _op_render,
-    "tree": _op_tree,
-    "session_columns": _op_session_columns,
-    "close_session": _op_close_session,
-    "stats": _op_stats,
-    "checkpoint_all": _op_checkpoint_all,
-    "reap": _op_reap,
 }
+
+#: Ops answered by the :class:`DrillDownServer` verb of the same name,
+#: called with the frame's arguments.
+_VERB_OPS = frozenset(
+    {
+        "unregister_table",
+        "tables",
+        "create_session",
+        "expand",
+        "expand_star",
+        "expand_traditional",
+        "collapse",
+        "render",
+        "tree",
+        "session_columns",
+        "close_session",
+        "stats",
+        "checkpoint_all",
+        "reap",
+    }
+)
+
+
+def _encode_result(value: Any) -> Any:
+    if isinstance(value, SessionNode):
+        return encode_node(value)
+    if isinstance(value, list):
+        return [_encode_result(v) for v in value]
+    return value
+
+
+def _dispatch(server, op: str, args: dict) -> Any:
+    """Answer one op: its own body, or the server verb it names."""
+    own = _OWN_BODY_OPS.get(op)
+    if own is not None:
+        return own(server, args)
+    if op not in _VERB_OPS:
+        raise ShardError(f"unknown shard op {op!r}")
+    if args.get("rule") is not None:
+        args["rule"] = decode_rule(args["rule"])
+    return _encode_result(getattr(server, op)(**args))
 
 
 def shard_main(conn, shard_id: int, server_kwargs: dict) -> None:
@@ -456,7 +291,6 @@ def shard_main(conn, shard_id: int, server_kwargs: dict) -> None:
                     break
                 continue
             chaos_rule = None if chaos is None else chaos.fire(op)
-            handler = _OP_HANDLERS.get(op)
             try:
                 if chaos_rule is not None:
                     if chaos_rule.kind == "crash":
@@ -465,12 +299,10 @@ def shard_main(conn, shard_id: int, server_kwargs: dict) -> None:
                         time.sleep(chaos_rule.seconds)
                     if chaos_rule.kind == "error":
                         raise ShardError(f"chaos: injected failure on {op!r}")
-                if handler is None:
-                    raise ShardError(f"unknown shard op {op!r}")
                 response = {
                     "id": request_id,
                     "ok": True,
-                    "result": handler(server, request.get("args") or {}),
+                    "result": _dispatch(server, op, request.get("args") or {}),
                 }
             except Exception as exc:
                 response = {"id": request_id, "ok": False, **encode_error(exc)}

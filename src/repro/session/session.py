@@ -43,11 +43,12 @@ from __future__ import annotations
 import numbers
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.codec import decode_rule, encode_rule
 from repro.core.drilldown import (
     drilldown_tag,
     rule_drilldown,
@@ -58,7 +59,7 @@ from repro.core.rule import Rule
 from repro.core.scoring import ScoredRule
 from repro.core.search_cache import SearchContext
 from repro.core.weights import SizeWeight, WeightFunction
-from repro.errors import SessionClosedError, SessionError
+from repro.errors import SessionClosedError, SessionError, SnapshotError
 from repro.sampling.estimate import estimate_count
 from repro.sampling.handler import SampleHandler
 from repro.storage.disk import DiskTable
@@ -145,37 +146,56 @@ class ExpansionRecord:
     scale: float
 
 
-def _node_state(node: SessionNode) -> dict:
-    """One displayed node (and its subtree) as replayable plain data.
+def encode_node(node: SessionNode) -> dict:
+    """A displayed node and its whole subtree in the internal JSON form
+    (:mod:`repro.codec`): snapshots and the shard pipe both carry it.
 
-    ``estimate`` is emitted only when present, so exact-session
-    snapshots keep their pre-approx byte layout.
+    ``estimate`` is written only when present, so exact nodes keep
+    their pre-approx bytes.
     """
-    state = {
-        "rule": node.rule,
-        "count": node.count,
-        "weight": node.weight,
-        "depth": node.depth,
+    payload = {
+        "rule": encode_rule(node.rule),
+        "count": float(node.count),
+        "weight": float(node.weight),
+        "depth": int(node.depth),
         "expanded_via": node.expanded_via,
-        "children": [_node_state(child) for child in node.children],
+        "children": [encode_node(c) for c in node.children],
     }
     if node.estimate is not None:
-        state["estimate"] = dict(node.estimate)
-    return state
+        payload["estimate"] = dict(node.estimate)
+    return payload
 
 
-def _record_state(record: ExpansionRecord) -> dict:
-    """One history record as a plain dict (rules stay ``Rule`` objects)."""
-    return {
-        "rule": record.rule,
-        "kind": record.kind,
-        "k": record.k,
-        "wall_seconds": record.wall_seconds,
-        "simulated_io_seconds": record.simulated_io_seconds,
-        "sample_method": record.sample_method,
-        "sample_size": record.sample_size,
-        "scale": record.scale,
-    }
+def decode_node(payload: dict) -> SessionNode:
+    """Invert :func:`encode_node`."""
+    estimate = payload.get("estimate")
+    node = SessionNode(
+        rule=decode_rule(payload["rule"]),
+        count=float(payload["count"]),
+        weight=float(payload["weight"]),
+        depth=int(payload["depth"]),
+        expanded_via=payload.get("expanded_via"),
+        estimate=dict(estimate) if estimate is not None else None,
+    )
+    node.children = [decode_node(c) for c in payload.get("children", ())]
+    return node
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(ExpansionRecord))
+
+
+def encode_record(record: ExpansionRecord) -> dict:
+    """One history record in the internal JSON form."""
+    payload = {name: getattr(record, name) for name in _RECORD_FIELDS}
+    payload["rule"] = encode_rule(record.rule)
+    return payload
+
+
+def decode_record(payload: dict) -> ExpansionRecord:
+    """Invert :func:`encode_record`."""
+    values = {name: payload[name] for name in _RECORD_FIELDS}
+    values["rule"] = decode_rule(payload["rule"])
+    return ExpansionRecord(**values)
 
 
 class DrillDownSession:
@@ -764,9 +784,12 @@ class DrillDownSession:
         session over the same source *without re-mining*: the displayed
         rule tree ``U`` (rules, counts, weights, depths, expansion
         kinds), the expansion history, and the ``k``/``mw``/``measure``
-        configuration plus tenant label.  Rules stay :class:`Rule`
-        objects — serialisation (the versioned on-disk format) is the
-        job of :mod:`repro.serving.persistence`.
+        configuration plus tenant label.  The tree and the history are
+        in the internal JSON form (:func:`encode_node`,
+        :func:`encode_record`); the versioned file around them is the
+        job of :mod:`repro.serving.persistence`.  Raises
+        :class:`~repro.errors.SnapshotError` when a rule value has no
+        JSON form.
 
         Deliberately **not** captured: search contexts (rebuilt, or
         re-leased from a :class:`~repro.serving.ContextStore`, on the
@@ -783,8 +806,8 @@ class DrillDownSession:
             "measure": self.measure,
             "tenant": self.tenant,
             "columns": list(self.column_names),
-            "tree": _node_state(self.root),
-            "history": [_record_state(record) for record in self.history],
+            "tree": encode_node(self.root),
+            "history": [encode_record(record) for record in self.history],
         }
 
     @classmethod
@@ -834,23 +857,11 @@ class DrillDownSession:
                 f"{list(self.column_names)} — restore needs the same table"
             )
 
-        def build(node_state: dict) -> SessionNode:
-            estimate = node_state.get("estimate")
-            node = SessionNode(
-                rule=node_state["rule"],
-                count=float(node_state["count"]),
-                weight=float(node_state["weight"]),
-                depth=int(node_state["depth"]),
-                expanded_via=node_state.get("expanded_via"),
-                estimate=dict(estimate) if estimate is not None else None,
-            )
-            node.children = [build(c) for c in node_state.get("children", ())]
-            return node
-
         try:
-            root = build(state["tree"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SessionError(f"malformed snapshot tree: {exc}") from None
+            root = decode_node(state["tree"])
+            history = [decode_record(record) for record in state.get("history", ())]
+        except (KeyError, TypeError, ValueError, SnapshotError) as exc:
+            raise SessionError(f"malformed snapshot: {exc!r}") from None
         if root.rule != Rule.trivial(self._n_columns):
             raise SessionError("snapshot tree must be rooted at the trivial rule")
         nodes: dict[Rule, SessionNode] = {}
@@ -868,10 +879,6 @@ class DrillDownSession:
                 f"snapshot root count {root.count:g} does not match the "
                 f"source's {self.root.count:g} rows — the table's data changed"
             )
-        try:
-            history = [ExpansionRecord(**record) for record in state.get("history", ())]
-        except TypeError as exc:
-            raise SessionError(f"malformed snapshot history: {exc}") from None
         self.root = root
         self._nodes = nodes
         self.history = history

@@ -37,13 +37,8 @@ from repro.errors import (
     UnknownSessionError,
 )
 from repro.serving import DrillDownServer, SessionRegistry, SnapshotStore
-from repro.serving.persistence import (
-    SNAPSHOT_VERSION,
-    ReaperThread,
-    SessionSnapshot,
-    decode_rule,
-    encode_rule,
-)
+from repro.codec import decode_rule, encode_rule
+from repro.serving.persistence import SNAPSHOT_VERSION, ReaperThread, SessionSnapshot
 from repro.session import DrillDownSession
 from repro.table.bucketize import Interval
 
@@ -128,7 +123,7 @@ class TestSnapshotStore:
         loaded = store.load("sess-000001")
         restored = DrillDownSession.restore(retail, loaded.state)
         assert restored.to_text() == session.to_text()
-        assert [r["rule"] for r in loaded.state["history"]] == [
+        assert [decode_rule(r["rule"]) for r in loaded.state["history"]] == [
             r.rule for r in session.history
         ]
 
@@ -337,6 +332,19 @@ class TestRestartEquivalence:
         assert server.checkpoint_all() == 0
         assert server.checkpoint_all() == 0  # dirty was not re-marked
         assert calls == [sid] and server.checkpoint_errors == 1
+        server.close()
+
+    def test_unserialisable_tree_is_not_retried_forever(self, tmp_path):
+        from repro.table import Schema, Table
+
+        table = Table.from_rows(Schema.categorical(["a"]), [(("t", 1),)] * 3 + [("x",)])
+        server = DrillDownServer(persist_dir=tmp_path)
+        server.register_table("tuples", table)
+        sid = server.create_session("tuples", k=2, mw=1.0)
+        server.expand(sid)  # displays the tuple value, which has no JSON form
+        assert server.checkpoint_all() == 0
+        assert server.checkpoint_all() == 0  # dirty was not re-marked
+        assert server.checkpoint_errors == 1 and sid not in server.store
         server.close()
 
     def test_transient_save_failure_is_retried(self, tmp_path, retail, monkeypatch):

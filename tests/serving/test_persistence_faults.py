@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro.codec import encode_rule
 from repro.core.rule import STAR, Rule
 from repro.errors import SnapshotError
 from repro.serving import DrillDownServer, SessionSnapshot, SnapshotStore
@@ -46,7 +47,7 @@ def _tiny_snapshot(sid: str, *, pad: int = 0) -> SessionSnapshot:
         "tenant": "pad-" + "x" * pad,
         "columns": ["A", "B"],
         "tree": {
-            "rule": rule,
+            "rule": encode_rule(rule),
             "count": 10.0,
             "weight": 1.0,
             "depth": 0,

@@ -20,17 +20,14 @@ from repro.errors import (
     ServingError,
     SessionError,
     ShardDownError,
+    ShardError,
     TenantBudgetError,
     UnknownSessionError,
     UnknownTableError,
 )
+from repro.codec import decode_table, encode_table
 from repro.serving import DrillDownServer, ShardRouter
-from repro.serving.shard import (
-    decode_node,
-    decode_table,
-    encode_node,
-    encode_table,
-)
+from repro.serving.shard import decode_node, encode_node
 from repro.session import DrillDownSession
 from repro.table import Schema, Table
 from repro.table.bucketize import Interval
@@ -215,6 +212,16 @@ class TestErrorPropagation:
             sid = router.create_session("retail", k=3, mw=3.0)
             with pytest.raises(SessionError):
                 router.expand(sid, k=0)
+
+    def test_shard_answers_only_whitelisted_verbs(self):
+        """The worker calls server verbs by op name: any other server
+        attribute (``close``, ``session``, dunders) is refused."""
+        with ShardRouter(1) as router:
+            shard = router._shards[0]
+            for op in ("close", "session", "__init__"):
+                with pytest.raises(ShardError, match="unknown shard op"):
+                    shard.request(op, {})
+            assert shard.request("tables", {}) == []
 
 
 # -- lifecycle -------------------------------------------------------------------

@@ -15,8 +15,12 @@ import numpy as np
 
 from repro.core.marginal import find_best_marginal_rule
 from repro.core.parallel import CountingBackend, CountingPool, count_extensions_kernel
+from repro.core.rule import STAR
 from repro.serving.catalog import TableCatalog
+from repro.serving.http import node_to_wire, rule_from_wire, rule_to_wire
 from repro.serving.scheduler import FairScheduler
+from repro.serving.shard import decode_node, encode_node
+from repro.session import DrillDownSession
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 SERVED = [
@@ -45,6 +49,16 @@ def test_benchmark_names_exist(tiny_table):
         assert catalog.version_stats()["exports_grown"] == 0
     finally:
         catalog.close()
+
+
+def test_benchmark_codecs_round_trip(tiny_table):
+    session = DrillDownSession(tiny_table, k=2, mw=1.0)
+    session.expand(session.root.rule)
+    root = decode_node(encode_node(session.root))
+    assert node_to_wire(root, deep=True) == node_to_wire(session.root, deep=True)
+    rule = session.root.children[0].rule
+    assert STAR in tuple(rule)
+    assert rule_from_wire(rule_to_wire(rule), tiny_table.n_columns) == rule
 
 
 def test_reference_search_is_off_the_served_path():

@@ -37,10 +37,10 @@ assert "scipy.special" not in sys.modules  # exact-only tiers never load it
 """
 
 
-def run_fresh(body: str) -> None:
+def run_fresh(body: str, prelude: str = PRELUDE) -> None:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     done = subprocess.run(
-        [sys.executable, "-c", PRELUDE + body],
+        [sys.executable, "-c", prelude + body],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -109,3 +109,14 @@ with DrillDownServer(sample_budget=200, default_approx=True) as server:
     assert scipy_modules() == before, sorted(scipy_modules() - before)
 assert heavy() == [], heavy()
 """)
+
+
+def test_session_layer_imports_nothing_from_serving():
+    """The codec sits below the session layer: a session (and the
+    internal JSON form it writes) needs no serving module."""
+    run_fresh("""
+import sys
+import repro.session
+serving = sorted(m for m in sys.modules if m.startswith("repro.serving"))
+assert serving == [], serving
+""", prelude="")
