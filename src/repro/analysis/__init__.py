@@ -36,11 +36,10 @@ exception hierarchy) and ships five repo-specific analyzers:
     by importing the hierarchy and diffing it against the mapper's
     AST).
 ``atomic-writes``
-    File writes in ``repro/serving/`` go through the
-    tmp+fsync+``os.replace`` idiom (:mod:`repro.serving.persistence`,
-    :mod:`~repro.serving.samples`, :mod:`~repro.serving.marginals`) —
-    a direct ``open(..., "w")`` outside an atomic helper can publish a
-    torn file under the real name on power loss.
+    File writes in ``repro/serving/`` go through
+    :func:`repro.serving.persistence.atomic_write` (tmp, fsync,
+    ``os.replace``) — a direct ``open(..., "w")`` anywhere else can
+    publish a torn file under the real name on power loss.
 ``determinism``
     No unseeded randomness anywhere linted (including the
     ``benchmarks/`` and ``examples/`` trees, swept advisory-only) —

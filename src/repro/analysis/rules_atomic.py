@@ -1,26 +1,24 @@
-"""``atomic-writes`` — serving-tier file writes go through tmp+fsync+replace.
+"""``atomic-writes`` — serving-tier file writes go through ``atomic_write``.
 
-The durability promise of the snapshot/sample/marginal stores is "a
+The durability promise of the snapshot and sample-set files is "a
 crash mid-write leaves the previous file intact, never a torn one
-under the real name".  That only holds because every writer follows
-one idiom (:meth:`SnapshotStore.save`,
-:meth:`TableSampleSet.save`, :func:`save_first_pick`): write to a
-temporary sibling, ``flush`` + ``os.fsync`` the data, then publish
-with ``os.replace`` (and best-effort fsync the directory).  A direct
+under the real name".  It holds because both are written by one
+function, :func:`repro.serving.persistence.atomic_write`: write to a
+unique temporary sibling, ``flush`` + ``os.fsync`` the data, publish
+with ``os.replace``, and best-effort fsync the directory.  A direct
 ``open(path, "w")`` into a persisted location bypasses all of it —
 power loss can publish an empty or half-written file under the real
 name, and the corrupt-file-skipping loaders then silently drop the
-session/sample it held.
+session or sample set it held.
 
 Lexical check: in ``repro/serving/``, any write-mode ``open(...)``
 (or ``Path.write_text`` / ``Path.write_bytes``) whose *enclosing
 function* does not itself call both ``os.fsync`` and ``os.replace``
-is flagged.  The enclosing-function heuristic is exactly how the
-three shipped helpers are shaped — the tmp-open, the fsync, and the
-replace live in one function so the ``except: tmp.unlink()`` cleanup
-can see them all; a write-open anywhere else is either a new
-persistence path that must adopt the idiom or a genuine one-off that
-documents itself with a pragma.
+is flagged.  ``atomic_write`` is shaped that way — the tmp-open, the
+fsync and the replace live in one function so the ``except:
+tmp.unlink()`` cleanup can see them all.  A write-open anywhere else
+should call ``atomic_write`` instead, or document itself as a genuine
+one-off with a pragma.
 """
 
 from __future__ import annotations
@@ -103,9 +101,9 @@ class _Visitor(ast.NodeVisitor):
                 self.rule.finding(
                     self.module,
                     node,
-                    "direct file write outside a tmp+fsync+os.replace helper "
-                    "— a crash here can publish a torn file (use the "
-                    "SnapshotStore.save idiom)",
+                    "direct file write outside atomic_write — a crash here "
+                    "can publish a torn file (call "
+                    "repro.serving.persistence.atomic_write)",
                 )
             )
         self.generic_visit(node)
@@ -115,8 +113,8 @@ class _Visitor(ast.NodeVisitor):
 class AtomicWritesRule(Rule):
     name = "atomic-writes"
     description = (
-        "serving-tier file writes happen inside functions that fsync and "
-        "os.replace (the snapshot store's atomic-publish idiom)"
+        "serving-tier file writes go through atomic_write (tmp, fsync, "
+        "os.replace)"
     )
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:

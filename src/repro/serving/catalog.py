@@ -12,17 +12,18 @@ versioning): :meth:`register` creates version 1 and
 An append extends the dictionary-encoded code arrays under the
 prefix-preserving invariant (:meth:`repro.table.table.Table.append_rows`),
 so the catalog can maintain the expensive per-table structures
-incrementally instead of rebuilding them cold: the first-pick marginal
-vectors get delta bincounts over only the appended rows (:func:`~repro.core.first_pick.extend_first_pick_cache`,
-bit-identical to a cold rebuild), a §4.3 reservoir keeps a uniform
-fresh sample current in O(appended), and the deterministic sample set
-— whose delta cannot be maintained without perturbing seeded draws —
-is rebuilt *lazily* on next access and its persisted file
-re-fingerprinted.  Sessions pin the version they started on (they hold
-the ``Table`` object; nothing the catalog does ever mutates it), new
-sessions get the latest version, and a superseded version is reaped —
-weight registry purged — when its last pinned session closes
-(:meth:`unpin`).
+incrementally instead of rebuilding them cold: the in-memory first-pick
+marginal vectors get delta bincounts over only the appended rows
+(:func:`~repro.core.first_pick.extend_first_pick_cache`, bit-identical
+to a cold rebuild), and the deterministic sample set — whose delta
+cannot be maintained without perturbing seeded draws — is rebuilt
+*lazily* on next access.  The sample set is the one artifact the
+catalog persists (``sample_dir``); its file carries the table's content
+fingerprint, so a stale file is rebuilt, never served.  Sessions pin
+the version they started on (they hold the ``Table`` object; nothing
+the catalog does ever mutates it), new sessions get the latest version,
+and a superseded version is reaped — weight registry purged — when its
+last pinned session closes (:meth:`unpin`).
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
-
-import numpy as np
 
 from repro.core.first_pick import (
     FirstPickCache,
@@ -49,12 +48,7 @@ from repro.core.weights import (
     WeightFunction,
 )
 from repro.errors import ServingError, TableConflictError, UnknownTableError
-from repro.sampling.reservoir import ReservoirSampler
-from repro.serving.marginals import (
-    load_first_pick,
-    save_first_pick,
-    table_fingerprint,
-)
+from repro.serving.persistence import sweep_tmp
 from repro.serving.samples import (
     TableSampleSet,
     build_sample_set,
@@ -125,10 +119,12 @@ class TableCatalog:
         :func:`~repro.serving.samples.derive_seed` of its name, so
         rebuilds in other processes reproduce the same samples.
     sample_dir:
-        Directory to persist sample row ids under (atomic writes).  On
-        re-registration after a restart the catalog reloads matching
-        files instead of re-scanning and re-drawing; any fingerprint
-        mismatch (rows, budget, seed) triggers a rebuild + re-persist.
+        Directory to persist sample row ids under
+        (:func:`~repro.serving.persistence.atomic_write`).  On
+        re-registration after a restart the catalog reloads a file
+        whose table content fingerprint, budget and seed all match,
+        instead of re-scanning and re-drawing; anything else is rebuilt
+        and re-persisted.  Temp-file litter is swept at construction.
     marginal_mw:
         When set, :meth:`register` also precomputes the shared
         first-pick marginal cache
@@ -142,12 +138,8 @@ class TableCatalog:
     marginal_weightings:
         Weighting names (keys of :data:`WEIGHT_FUNCTIONS`) to
         precompute marginals for; each costs one level-1 pass over the
-        table at registration.
-    marginal_dir:
-        Directory to persist marginal caches under (atomic writes,
-        fingerprint-checked like ``sample_dir``): stale or corrupt
-        files are rejected — with a counter — and rebuilt, never
-        served.
+        table at registration.  The caches live in memory only: a
+        rebuild is cheaper than fingerprinting a persisted copy.
     """
 
     def __init__(
@@ -158,7 +150,6 @@ class TableCatalog:
         sample_dir: str | os.PathLike | None = None,
         marginal_mw: float | None = None,
         marginal_weightings: Sequence[str] = ("size",),
-        marginal_dir: str | os.PathLike | None = None,
     ):
         if sample_budget is not None and sample_budget <= 0:
             raise ServingError("sample_budget must be a positive tuple count")
@@ -180,11 +171,8 @@ class TableCatalog:
             )
         self._marginal_mw = None if marginal_mw is None else float(marginal_mw)
         self._marginal_weightings = tuple(marginal_weightings)
-        self._marginal_dir = Path(marginal_dir) if marginal_dir is not None else None
         self._marginals: dict[str, dict[str, FirstPickCache]] = {}
         self._marginals_built = 0
-        self._marginals_loaded = 0
-        self._marginals_rejected = 0
         # Weight-instance registry: one shared instance per (name,
         # table), so registration-time caches and tenant contexts key
         # on the same object.  Entries keep a strong table reference —
@@ -192,19 +180,7 @@ class TableCatalog:
         # a dead table's address.
         self._weights: dict[tuple[str, int], tuple[Table, WeightFunction]] = {}
         self._weights_lock = threading.Lock()
-        # SIGKILL mid-save leaves "<file>.tmp" litter in the persist
-        # directories; sweep it now, exactly like SnapshotStore sweeps
-        # its .jsonl.tmp-* files.
-        self.cleaned_tmp = 0
-        for directory in (self._sample_dir, self._marginal_dir):
-            if directory is None or not directory.is_dir():
-                continue
-            for tmp in directory.glob("*.tmp"):
-                try:
-                    tmp.unlink()
-                    self.cleaned_tmp += 1
-                except OSError:  # pragma: no cover - racing cleaner
-                    pass
+        self.cleaned_tmp = sweep_tmp(self._sample_dir)
         self._tables: dict[str, Table] = {}
         # Version records: name -> latest version number, plus one
         # TableVersion per *live* version — the latest, and any
@@ -212,11 +188,6 @@ class TableCatalog:
         # outlives unregister while pinned (reaped on last unpin).
         self._latest: dict[str, int] = {}
         self._records: dict[tuple[str, int], TableVersion] = {}
-        # §4.3 freshness: one uniform reservoir per name, offered every
-        # appended row id in O(appended) — the sample that is *already
-        # current* the moment an append lands, while the deterministic
-        # sample set rebuilds lazily.
-        self._fresh: dict[str, ReservoirSampler] = {}
         self._stale_samples: set[str] = set()
         self._versions_created = 0
         self._versions_reaped = 0
@@ -280,9 +251,8 @@ class TableCatalog:
                 samples = self._build_or_load_samples(name, table)
                 with self._lock:
                     self._samples[name] = samples
-                    self._fresh[name] = self._new_reservoir(name, table)
             if self._marginal_mw is not None:
-                marginals = self._build_or_load_marginals(name, table)
+                marginals = self._build_marginals(name, table, None)
                 with self._lock:
                     self._marginals[name] = marginals
             return table
@@ -295,10 +265,9 @@ class TableCatalog:
         first-pick marginal vectors get delta bincounts
         over only the appended rows (bit-identical to a cold rebuild;
         any cache whose delta cannot be maintained — e.g. a ``bits``
-        weighting over a dictionary that grew — is rebuilt cold), the
-        freshness reservoir is offered the appended row ids, and the
-        deterministic sample set is marked stale for lazy rebuild (its
-        persisted file is re-fingerprinted then).  Sessions already
+        weighting over a dictionary that grew — is rebuilt cold), and
+        the deterministic sample set is marked stale for lazy rebuild
+        (its persisted file is rewritten then).  Sessions already
         open keep mining the old version untouched; the returned record
         is what new sessions will pin.
         """
@@ -321,11 +290,10 @@ class TableCatalog:
     def replace_table(self, name: str, table: Table) -> TableVersion:
         """Swap ``name``'s data wholesale as a new table version.
 
-        No append relation is assumed, so every per-table structure is
-        rebuilt cold (marginal caches, freshness reservoir) or
-        marked for lazy rebuild (the deterministic sample set).  Pinned
-        sessions keep the version they started on, exactly as for
-        :meth:`append_rows`.
+        No append relation is assumed, so the marginal caches are
+        rebuilt cold and the deterministic sample set is marked for
+        lazy rebuild.  Pinned sessions keep the version they started
+        on, exactly as for :meth:`append_rows`.
         """
         with self._version_lock:
             with self._lock:
@@ -339,15 +307,6 @@ class TableCatalog:
                     return latest
             return self._install_version(name, table, None, appended=0)
 
-    def _new_reservoir(self, name: str, table: Table) -> ReservoirSampler:
-        """A freshness reservoir seeded per name, primed with every
-        current row id (the Create-pass scan §4.3 starts from)."""
-        assert self._sample_budget is not None
-        rng = np.random.default_rng(derive_seed(f"{name}#fresh", self._sample_seed))
-        reservoir = ReservoirSampler(self._sample_budget, rng)
-        reservoir.offer(np.arange(table.n_rows, dtype=np.int64))
-        return reservoir
-
     def _install_version(
         self, name: str, table: Table, old: Table | None, *, appended: int
     ) -> TableVersion:
@@ -355,17 +314,10 @@ class TableCatalog:
         ``_version_lock``).  ``old`` non-``None`` marks the append
         relation and enables every incremental path."""
         if self._marginal_mw is not None:
-            marginals = self._maintain_marginals(name, table, old)
-        if self._sample_budget is not None:
-            with self._lock:
-                self._stale_samples.add(name)
-                fresh = self._fresh.get(name)
-            if old is not None and fresh is not None:
-                fresh.offer(np.arange(old.n_rows, table.n_rows, dtype=np.int64))
-            else:
-                with self._lock:
-                    self._fresh[name] = self._new_reservoir(name, table)
+            marginals = self._build_marginals(name, table, old)
         with self._lock:
+            if self._sample_budget is not None:
+                self._stale_samples.add(name)
             previous_v = self._latest[name]
             version = previous_v + 1
             record = TableVersion(version=version, table=table, appended=appended)
@@ -380,17 +332,16 @@ class TableCatalog:
             self._reap(name, previous)
         return record
 
-    def _maintain_marginals(
+    def _build_marginals(
         self, name: str, table: Table, old: Table | None
     ) -> dict[str, FirstPickCache]:
-        """New-version first-pick caches: delta-extended from the old
-        version's where the append relation holds and per-position
-        weights are unchanged, rebuilt cold otherwise; either way the
-        persisted files are rewritten under the new fingerprint."""
+        """One first-pick cache per configured weighting: delta-extended
+        from the old version's where ``old`` marks the append relation
+        and per-position weights are unchanged, built cold otherwise.
+        Tables without categorical columns get no cache."""
         assert self._marginal_mw is not None
         with self._lock:
             old_marginals = dict(self._marginals.get(name, {}))
-        fingerprint = None if self._marginal_dir is None else table_fingerprint(table)
         caches: dict[str, FirstPickCache] = {}
         for weighting in self._marginal_weightings:
             wf = self.weight(weighting, table)
@@ -406,17 +357,7 @@ class TableCatalog:
                     continue
                 self._marginals_built += 1
             caches[weighting] = cache
-            self._save_marginal(cache, name, weighting, fingerprint)
         return caches
-
-    def _save_marginal(self, cache: FirstPickCache, name, weighting, fingerprint) -> None:
-        """Best-effort persist under ``marginal_dir``: caches are rebuildable."""
-        path = self._marginal_path(name, weighting)
-        if path is not None:
-            try:
-                save_first_pick(cache, path, fingerprint=fingerprint, weighting=weighting)
-            except OSError:  # pragma: no cover - disk-full etc.
-                pass
 
     def _sample_path(self, name: str) -> Path | None:
         """Persistence path for ``name``'s samples (``None`` = memory only).
@@ -447,57 +388,9 @@ class TableCatalog:
         if path is not None:
             try:
                 samples.save(path)
-            except OSError:  # pragma: no cover - disk-full etc.
+            except OSError:
                 pass  # samples are rebuildable; persistence is an optimisation
         return samples
-
-    def _marginal_path(self, name: str, weighting: str) -> Path | None:
-        """Persistence path for one ``(table name, weighting)`` cache."""
-        if self._marginal_dir is None:
-            return None
-        digest = hashlib.sha1(name.encode("utf-8")).hexdigest()[:8]
-        safe = _SAMPLE_FILE_SAFE.sub("_", name)[:80]
-        return self._marginal_dir / f"{safe}-{digest}.{weighting}.marginals.json"
-
-    def _build_or_load_marginals(
-        self, name: str, table: Table
-    ) -> dict[str, FirstPickCache]:
-        """One first-pick cache per configured weighting.
-
-        A persisted file is served only when its fingerprint — format
-        version, table content hash, weighting name, ``mw``, row count
-        — matches exactly; anything else (corrupt JSON, a re-registered
-        table with different data, a knob change) is rejected with a
-        counter and rebuilt.  Tables without categorical columns build
-        no cache.
-        """
-        assert self._marginal_mw is not None
-        fingerprint = None if self._marginal_dir is None else table_fingerprint(table)
-        caches: dict[str, FirstPickCache] = {}
-        for weighting in self._marginal_weightings:
-            wf = self.weight(weighting, table)
-            path = self._marginal_path(name, weighting)
-            if path is not None and path.exists():
-                loaded = load_first_pick(
-                    path,
-                    table,
-                    wf,
-                    self._marginal_mw,
-                    fingerprint=fingerprint,
-                    weighting=weighting,
-                )
-                if loaded is not None:
-                    self._marginals_loaded += 1
-                    caches[weighting] = loaded
-                    continue
-                self._marginals_rejected += 1
-            cache = build_first_pick_cache(table, wf, self._marginal_mw)
-            if cache is None:  # no categorical columns: nothing to serve
-                continue
-            self._marginals_built += 1
-            caches[weighting] = cache
-            self._save_marginal(cache, name, weighting, fingerprint)
-        return caches
 
     def marginals_for(
         self,
@@ -537,9 +430,6 @@ class TableCatalog:
             "mw": self._marginal_mw,
             "weightings": list(self._marginal_weightings),
             "built": self._marginals_built,
-            "loaded": self._marginals_loaded,
-            "rejected": self._marginals_rejected,
-            "cleaned_tmp": self.cleaned_tmp,
             "tables": tables,
         }
 
@@ -584,8 +474,8 @@ class TableCatalog:
         without perturbing the seeded sequence — so the first access
         after an append pays one rebuild here, producing exactly
         ``build_sample_set`` over the new version (the persisted file
-        auto-rejects on its row-count fingerprint and is rewritten:
-        re-fingerprinted).  Equal to a fresh registration's samples,
+        no longer matches the table's content fingerprint, so it is
+        rebuilt and rewritten).  Equal to a fresh registration's samples,
         which is what keeps approximate expansions byte-equal across
         backends.
         """
@@ -602,20 +492,6 @@ class TableCatalog:
                 self._samples_lazy_rebuilt += 1
         return samples
 
-    def fresh_sample(self, name: str) -> tuple[int, ...] | None:
-        """Row ids in ``name``'s §4.3 freshness reservoir, or ``None``.
-
-        The reservoir is offered every appended row id in O(appended),
-        so it is uniform over the *latest* version the moment an append
-        lands — the always-current counterpart to the lazily rebuilt
-        deterministic sample set.
-        """
-        with self._lock:
-            reservoir = self._fresh.get(name)
-        if reservoir is None:
-            return None
-        return tuple(int(i) for i in reservoir.result())
-
     def sample_stats(self) -> dict:
         """Sampling counters + per-table summaries for ``/stats``."""
         with self._lock:
@@ -625,10 +501,6 @@ class TableCatalog:
                 "loaded": self._samples_loaded,
                 "lazy_rebuilt": self._samples_lazy_rebuilt,
                 "stale": sorted(self._stale_samples),
-                "fresh": {
-                    name: {"seen": r.seen, "size": r.size}
-                    for name, r in sorted(self._fresh.items())
-                },
                 "tables": {name: s.describe() for name, s in sorted(self._samples.items())},
             }
 
@@ -708,25 +580,21 @@ class TableCatalog:
             self.on_reap(name, table)
 
     def _purge_artifacts(self, name: str) -> None:
-        """Delete ``name``'s persisted sample and marginal files.
+        """Delete ``name``'s persisted sample file.
 
-        Without this, every unregister strands its artifacts on disk
+        Without this, every unregister strands its artifact on disk
         forever: at best fingerprint-rejected litter on a future
         re-register, at worst an unbounded byte leak in long-running
         deployments.
         """
-        paths = [self._sample_path(name)]
-        paths += [self._marginal_path(name, w) for w in self._marginal_weightings]
-        for path in paths:
-            if path is None:
-                continue
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                continue
-            except OSError:  # pragma: no cover - racing cleaner
-                continue
-            self._artifacts_purged += 1
+        path = self._sample_path(name)
+        if path is None:
+            return
+        try:
+            path.unlink()
+        except OSError:  # missing already, or a racing cleaner
+            return
+        self._artifacts_purged += 1
 
     def version_stats(self) -> dict:
         """Version-record counters + per-name summaries for ``/stats``."""
@@ -759,14 +627,13 @@ class TableCatalog:
         those sessions are unaffected — and are reaped when their last pin is released.  Unpinned
         versions (including the latest) are reaped immediately;
         reaping the last surviving version also deletes the name's
-        persisted sample/marginal files.
+        persisted sample file.
         """
         with self._version_lock:
             with self._lock:
                 self._tables.pop(name, None)
                 self._samples.pop(name, None)
                 self._marginals.pop(name, None)
-                self._fresh.pop(name, None)
                 self._stale_samples.discard(name)
                 self._latest.pop(name, None)
                 dead = [
@@ -823,7 +690,6 @@ class TableCatalog:
             self._marginals.clear()
             self._latest.clear()
             self._records.clear()
-            self._fresh.clear()
             self._stale_samples.clear()
         with self._weights_lock:
             self._weights.clear()

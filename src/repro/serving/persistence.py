@@ -13,8 +13,11 @@ durable server state instead:
   from the :class:`~repro.serving.ContextStore`) on the first expansion
   after restore, with bit-identical results either way;
 * a :class:`SnapshotStore` — one file per session in a flat directory,
-  written atomically (temp file + ``os.replace``), with corrupt and
-  stale-version files *skipped and counted*, never fatal;
+  with corrupt and stale-version files *skipped and counted*, never
+  fatal;
+* :func:`atomic_write` and :func:`sweep_tmp` — the one write path and
+  the one temp-litter sweep for every file the serving tier persists
+  (snapshots here, sample sets in :mod:`repro.serving.samples`);
 * a :class:`ReaperThread` — the background loop the ROADMAP queued:
   TTL expiry enforced on a timer instead of piggy-backing on request
   traffic, plus periodic checkpointing of dirty sessions.
@@ -68,6 +71,8 @@ __all__ = [
     "ReaperThread",
     "SessionSnapshot",
     "SnapshotStore",
+    "atomic_write",
+    "sweep_tmp",
 ]
 
 #: Version stamped into every snapshot's meta record.  Readers skip
@@ -80,6 +85,68 @@ _SNAPSHOT_SUFFIX = ".jsonl"
 #: Session ids become file names; anything outside this alphabet is
 #: refused rather than escaped (ids are registry-generated anyway).
 _SAFE_ID = re.compile(r"[A-Za-z0-9._-]+")
+
+
+# -- the one durable write -------------------------------------------------------
+
+
+def atomic_write(path: str | os.PathLike, text: str) -> int:
+    """Publish ``text`` at ``path`` atomically; returns the bytes written.
+
+    The serving tier's only writer of persisted files.  The data goes
+    to a unique sibling ``<name>.tmp-<pid>-<tid>``, is flushed and
+    fsynced, then ``os.replace``\\ d over the real name, and the
+    directory is fsynced (best effort) so the rename itself survives
+    power loss.  A crash therefore leaves the previous file or none,
+    never a torn one under the real name.  On any failure the temp
+    file is unlinked and the error re-raised; only a SIGKILL can leave
+    one behind, and :func:`sweep_tmp` removes that.
+    """
+    path = Path(path)
+    data = text.encode("utf-8")
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+    try:
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    except OSError:  # pragma: no cover - platform-dependent
+        pass
+    return len(data)
+
+
+def sweep_tmp(directory: str | os.PathLike | None) -> int:
+    """Delete temp-file litter in ``directory``; returns how many went.
+
+    Matches :func:`atomic_write`'s ``*.tmp-*`` siblings and the older
+    ``<file>.tmp`` form.  Both are unpublished garbage by definition:
+    the rename that would have made them real never happened.  A
+    missing directory (or ``None``) sweeps nothing.
+    """
+    if directory is None:
+        return 0
+    removed = 0
+    for pattern in ("*.tmp", "*.tmp-*"):
+        for leftover in Path(directory).glob(pattern):
+            try:
+                leftover.unlink()
+            except OSError:  # pragma: no cover - racing cleanup
+                continue
+            removed += 1
+    return removed
 
 
 # -- the snapshot ----------------------------------------------------------------
@@ -120,9 +187,8 @@ class SnapshotStore:
     """Directory of per-session snapshot files with atomic replacement.
 
     Layout: ``<root>/<session-id>.jsonl``, one file per session,
-    written to a temporary sibling and ``os.replace``\\ d into place so
-    a crash mid-checkpoint leaves the previous snapshot intact (never a
-    torn file under the real name).  Loading skips — and counts —
+    written with :func:`atomic_write`, so a crash mid-checkpoint leaves
+    the previous snapshot intact.  Loading skips — and counts —
     undecodable files (``skipped_corrupt``) and version mismatches
     (``skipped_version``); a bad snapshot can cost one session's
     restore, never the warm restart.
@@ -136,10 +202,8 @@ class SnapshotStore:
     Evictions are counted (``cap_evictions``), not fatal — an evicted
     session simply will not warm-restore.
 
-    Leftover ``*.tmp-*`` files from a crash *mid-write* (the in-process
-    failure path unlinks its own temp file, but a SIGKILL or power loss
-    cannot) are swept on construction and counted in ``cleaned_tmp``;
-    they are garbage by definition — the publish rename never happened.
+    Temp files a SIGKILL left behind mid-write are removed by
+    :func:`sweep_tmp` on construction and counted in ``cleaned_tmp``.
     """
 
     def __init__(self, root: str | os.PathLike, *, max_bytes: int | None = None):
@@ -154,13 +218,7 @@ class SnapshotStore:
         self.skipped_corrupt = 0
         self.skipped_version = 0
         self.cap_evictions = 0
-        self.cleaned_tmp = 0
-        for leftover in self.root.glob(f"*{_SNAPSHOT_SUFFIX}.tmp-*"):
-            try:
-                leftover.unlink()
-            except OSError:  # pragma: no cover - racing cleanup
-                continue
-            self.cleaned_tmp += 1
+        self.cleaned_tmp = sweep_tmp(self.root)
         # Running footprint (file name -> bytes), kept in step by
         # save/delete so the cap check is O(1) while under the cap; the
         # eviction pass re-scans the directory authoritatively.
@@ -220,35 +278,7 @@ class SnapshotStore:
         lines.extend(json.dumps({**r, "record": "expansion"}) for r in state["history"])
         lines.append(json.dumps({"record": "tree", "root": state["tree"]}))
         payload = "\n".join(lines) + "\n"
-        tmp = path.with_name(path.name + f".tmp-{os.getpid()}-{threading.get_ident()}")
-        try:
-            with open(tmp, "w") as handle:
-                handle.write(payload)
-                handle.flush()
-                # The atomicity promise ("a crash leaves the previous
-                # snapshot intact") needs the data on disk *before* the
-                # rename, or power loss can publish an empty file under
-                # the real name.
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()  # never leak .tmp files on a failed write
-            except OSError:
-                pass
-            raise
-        try:  # make the rename itself durable (best effort)
-            dir_fd = os.open(self.root, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
-        try:
-            size = path.stat().st_size
-        except OSError:  # pragma: no cover - racing delete
-            size = len(payload.encode("utf-8"))
+        size = atomic_write(path, payload)
         with self._lock:
             self.saved += 1
             self._size_total += size - self._sizes.get(path.name, 0)

@@ -23,10 +23,13 @@ this.  :func:`derive_seed` gives each table a stable per-name seed so
 samples survive process boundaries and restarts without coordination.
 
 Sample sets persist as one JSON file of row ids (:meth:`TableSampleSet.save`
-/ :func:`load_sample_set`) using the snapshot store's atomic
-tmp+fsync+replace idiom, so warm restarts don't re-scan the table; a
-fingerprint (rows, columns, budget, seed, version) guards staleness —
-any mismatch makes the loader return ``None`` and the catalog rebuild.
+/ :func:`load_sample_set`), written by
+:func:`~repro.serving.persistence.atomic_write`, so warm restarts don't
+re-scan the table.  The file carries the table's content hash
+(:func:`table_fingerprint`) plus the budget, seed and format version;
+any mismatch makes the loader return ``None`` and the catalog rebuild,
+so a different table registered under the same name never gets
+another table's strata.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from repro.core.rule import Rule, cover_mask
 from repro.errors import ReproError, ServingError
 from repro.sampling.allocation import GroupSpec, LeafSpec, allocate_dp
 from repro.sampling.sample import Sample
+from repro.serving.persistence import atomic_write
 from repro.table.table import Table
 
 __all__ = [
@@ -50,14 +54,37 @@ __all__ = [
     "build_sample_set",
     "derive_seed",
     "load_sample_set",
+    "table_fingerprint",
 ]
 
-SAMPLES_VERSION = 1
+#: Version 2 replaced the shape check with :func:`table_fingerprint`.
+SAMPLES_VERSION = 2
 UNIFORM = "::uniform"
 # Strata per categorical column.  Bounds the §4.1 group enumeration at
 # 3^4 = 81 local options per group, keeping registration cheap even on
 # wide-domain columns; rarer values fall through to the uniform sample.
 MAX_STRATA_PER_COLUMN = 4
+
+
+def table_fingerprint(table: Table) -> str:
+    """Content hash of everything a sample set's row ids depend on.
+
+    Deterministic across processes and restarts: sha1 over the row
+    count, each column's name and kind, and — for categoricals — the
+    dictionary (in code order) plus the raw code bytes.  Strata and
+    their draws read only categorical codes, so numeric columns are
+    outside the hash; a table with different categorical data under
+    the same name and shape hashes differently.
+    """
+    h = hashlib.sha1()
+    h.update(f"rows={table.n_rows};cols={table.n_columns};".encode("utf-8"))
+    for idx, column in enumerate(table.schema):
+        h.update(f"col={idx}:{column.name!r}:{column.kind};".encode("utf-8"))
+    for idx in table.schema.categorical_indexes:
+        col = table.categorical(idx)
+        h.update(repr(col.values).encode("utf-8"))
+        h.update(np.ascontiguousarray(col.codes).tobytes())
+    return h.hexdigest()
 
 
 def derive_seed(name: str, base_seed: int) -> int:
@@ -140,13 +167,12 @@ class TableSampleSet:
     # -- persistence -------------------------------------------------------------
 
     def save(self, path: str | os.PathLike) -> None:
-        """Persist row ids atomically (tmp + fsync + replace), so a
-        crash mid-write leaves either the old file or none."""
+        """Persist row ids with :func:`~repro.serving.persistence.atomic_write`,
+        stamped with the table's :func:`table_fingerprint`."""
         path = Path(path)
         payload = {
             "version": SAMPLES_VERSION,
-            "n_rows": self.table.n_rows,
-            "n_columns": self.table.n_columns,
+            "fingerprint": table_fingerprint(self.table),
             "budget": self.budget,
             "seed": self.seed,
             "samples": [
@@ -159,27 +185,7 @@ class TableSampleSet:
             ],
         }
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, separators=(",", ":"))
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
-        try:  # directory entry durability, best-effort
-            dir_fd = os.open(path.parent, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-        except OSError:  # pragma: no cover - platform-dependent
-            pass
+        atomic_write(path, json.dumps(payload, separators=(",", ":")))
 
     def __repr__(self) -> str:
         return (
@@ -299,20 +305,19 @@ def load_sample_set(
     """Rebuild a persisted sample set against ``table``.
 
     Returns ``None`` (never raises) whenever the file is missing,
-    unreadable, or its fingerprint (version, shape, budget, seed)
-    disagrees with the live table and knobs — the caller rebuilds and
-    re-persists.  Row ids are bounds-checked so a corrupt file cannot
-    index out of the table.
+    unreadable, or its format version, budget, seed or
+    :func:`table_fingerprint` disagrees with the live table and knobs —
+    the caller rebuilds and re-persists.  Row ids are bounds-checked so
+    a corrupt file cannot index out of the table.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         if (
             payload.get("version") != SAMPLES_VERSION
-            or payload.get("n_rows") != table.n_rows
-            or payload.get("n_columns") != table.n_columns
             or payload.get("budget") != int(budget)
             or payload.get("seed") != int(seed)
+            or payload.get("fingerprint") != table_fingerprint(table)
         ):
             return None
         records = payload["samples"]

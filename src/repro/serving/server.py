@@ -199,18 +199,12 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
             if (persist_dir is not None and sample_budget is not None)
             else None
         )
-        marginal_dir = (
-            os.path.join(os.fspath(persist_dir), "marginals")
-            if (persist_dir is not None and marginal_cache)
-            else None
-        )
         self.catalog = TableCatalog(
             sample_budget=sample_budget,
             sample_seed=sample_seed,
             sample_dir=sample_dir,
             marginal_mw=float(marginal_mw) if marginal_cache else None,
             marginal_weightings=marginal_weightings,
-            marginal_dir=marginal_dir,
         )
         self.registry = SessionRegistry(
             max_sessions=max_sessions,
@@ -302,8 +296,9 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         trees, contexts, and estimates stay bit-identical — while
         sessions created after this call mine the grown table.  The
         expensive per-table structures are maintained incrementally
-        (delta first-pick bincounts, reservoir freshness; see :meth:`TableCatalog.append_rows`).  Returns the
-        new version's summary (``version``, ``rows``, ``appended``).
+        (delta first-pick bincounts; see :meth:`TableCatalog.append_rows`).
+        Returns the new version's summary (``version``, ``rows``,
+        ``appended``).
         """
         if self._closed:
             raise ServingError("server is closed")

@@ -382,6 +382,32 @@ def test_atomic_writes_tmp_fsync_replace_idiom_passes():
     assert findings == []
 
 
+def test_atomic_writes_open_beside_atomic_write_flagged():
+    # A module that has atomic_write but writes around it: only the
+    # bypass is flagged, not the sanctioned writer's own tmp-open.
+    findings = lint(
+        """
+        import os
+
+        def atomic_write(path, text):
+            tmp = path + ".tmp-1-1"
+            with open(tmp, "wb") as handle:
+                handle.write(text.encode("utf-8"))
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+
+        def save(self, path, text):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        """,
+        relpath="repro/serving/samples.py",
+    )
+    assert names(findings) == ["atomic-writes"]
+    assert findings[0].line == 13
+    assert "atomic_write" in findings[0].message
+
+
 def test_atomic_writes_read_open_not_flagged():
     findings = lint(
         """

@@ -4,14 +4,12 @@ The cache's contract is *bit-identity*: a search served cached level-1
 marginals must return exactly — not approximately — the rule lists the
 cold scan and the reference search return, across every weighting in
 the fast family, near-tie tables, and mw edge values.  The lifecycle
-half pins strict ``(table fingerprint, weighting, mw)`` keying: a
-changed table, a corrupt file, or a mismatched parameter must rebuild,
-never serve stale marginals.
+half pins strict ``(table, weighting, mw)`` keying: a changed table
+or a mismatched parameter must rebuild, never serve stale marginals.
+The caches live in memory only; nothing here touches disk.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -31,11 +29,6 @@ from repro.core import (
 )
 from repro.core.first_pick import FirstPickCache, build_first_pick_cache
 from repro.serving.catalog import TableCatalog
-from repro.serving.marginals import (
-    load_first_pick,
-    save_first_pick,
-    table_fingerprint,
-)
 from repro.session import DrillDownSession
 from repro.table import Schema, Table
 from tests.conftest import random_table
@@ -211,147 +204,27 @@ class TestSessionEquivalence:
         assert cache.hits >= 1
 
 
-class TestPersistenceRoundTrip:
-    def test_save_load_bit_identical(self, tiny_table, tmp_path):
-        wf = SizeWeight()
-        built = build_first_pick_cache(tiny_table, wf, 3.0)
-        fp = table_fingerprint(tiny_table)
-        path = tmp_path / "t.size.marginals.json"
-        save_first_pick(built, path, fingerprint=fp, weighting="size")
-        loaded = load_first_pick(
-            path, tiny_table, wf, 3.0, fingerprint=fp, weighting="size"
-        )
-        assert loaded is not None
-        for a, b in zip(built.entries, loaded.entries):
-            assert a[0] == b[0]
-            for x, y in zip(a[1:], b[1:]):
-                assert np.array_equal(x, y)
-        cold = brs(tiny_table, wf, 3, 3.0)
-        warm = brs(tiny_table, wf, 3, 3.0, first_pick=loaded)
-        assert picks_of(warm) == picks_of(cold)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"mw": 4.0},
-            {"fingerprint": "not-the-fingerprint"},
-            {"weighting": "bits"},
-        ],
-    )
-    def test_mismatch_rejected(self, tiny_table, tmp_path, kwargs):
-        wf = SizeWeight()
-        built = build_first_pick_cache(tiny_table, wf, 3.0)
-        fp = table_fingerprint(tiny_table)
-        path = tmp_path / "t.size.marginals.json"
-        save_first_pick(built, path, fingerprint=fp, weighting="size")
-        load_kwargs = dict(fingerprint=fp, weighting="size")
-        mw = kwargs.pop("mw", 3.0)
-        load_kwargs.update(kwargs)
-        assert load_first_pick(path, tiny_table, wf, mw, **load_kwargs) is None
-
-    def test_corrupt_file_returns_none(self, tiny_table, tmp_path):
-        path = tmp_path / "t.size.marginals.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert (
-            load_first_pick(
-                path, tiny_table, SizeWeight(), 3.0,
-                fingerprint=table_fingerprint(tiny_table), weighting="size",
-            )
-            is None
-        )
-
-    def test_out_of_range_codes_rejected(self, tiny_table, tmp_path):
-        wf = SizeWeight()
-        built = build_first_pick_cache(tiny_table, wf, 3.0)
-        fp = table_fingerprint(tiny_table)
-        path = tmp_path / "t.size.marginals.json"
-        save_first_pick(built, path, fingerprint=fp, weighting="size")
-        payload = json.loads(path.read_text())
-        payload["entries"][0]["supported"] = [99] * len(
-            payload["entries"][0]["supported"]
-        )
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert (
-            load_first_pick(path, tiny_table, wf, 3.0, fingerprint=fp, weighting="size")
-            is None
-        )
-
-    def test_tampered_weight_rejected(self, tiny_table, tmp_path):
-        """The fingerprint names the weighting but not its definition, so
-        a file whose weight disagrees with the live weighting (tampered,
-        or written under a changed definition) must not be served."""
-        wf = SizeWeight()
-        built = build_first_pick_cache(tiny_table, wf, 3.0)
-        fp = table_fingerprint(tiny_table)
-        path = tmp_path / "t.size.marginals.json"
-        save_first_pick(built, path, fingerprint=fp, weighting="size")
-        payload = json.loads(path.read_text())
-        payload["entries"][1]["weight"] = 2.0
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        assert (
-            load_first_pick(path, tiny_table, wf, 3.0, fingerprint=fp, weighting="size")
-            is None
-        )
-
-    def test_missing_file_returns_none(self, tiny_table, tmp_path):
-        assert (
-            load_first_pick(
-                tmp_path / "absent.json", tiny_table, SizeWeight(), 3.0,
-                fingerprint="x", weighting="size",
-            )
-            is None
-        )
-
-    def test_interrupted_save_leaves_no_litter(self, tiny_table, tmp_path, monkeypatch):
-        import os as os_module
-
-        wf = SizeWeight()
-        built = build_first_pick_cache(tiny_table, wf, 3.0)
-        path = tmp_path / "t.size.marginals.json"
-
-        def boom(*args, **kwargs):
-            raise OSError("disk detached")
-
-        monkeypatch.setattr(os_module, "replace", boom)
-        with pytest.raises(OSError):
-            save_first_pick(built, path, fingerprint="fp", weighting="size")
-        # The failed publish removed its temp file and the final path
-        # never appeared — readers can't observe a half-written cache.
-        assert not path.exists()
-        assert list(tmp_path.iterdir()) == []
-
-    def test_fingerprint_tracks_content_not_name(self, tiny_table):
-        rows = [("a", "x", "p")] * tiny_table.n_rows
-        same_shape = Table.from_rows(Schema.categorical(["A", "B", "C"]), rows)
-        assert table_fingerprint(tiny_table) != table_fingerprint(same_shape)
-        clone = Table.from_rows(
-            Schema.categorical(["A", "B", "C"]),
-            [tuple(tiny_table.row(i)) for i in range(tiny_table.n_rows)],
-        )
-        assert table_fingerprint(tiny_table) == table_fingerprint(clone)
-
-
 class TestCatalogLifecycle:
     def make_table(self, seed=0):
         rng = np.random.default_rng(seed)
         return random_table(rng, n_rows=40, n_columns=3, domain=3)
 
-    def test_register_builds_and_serves(self, tmp_path):
+    def test_register_builds_and_serves(self):
         table = self.make_table()
-        catalog = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
+        catalog = TableCatalog(marginal_mw=3.0)
         try:
             registered = catalog.register("t", table)
             cache = catalog.marginals_for("t", "size", 3.0)
             assert cache is not None and cache.table is registered
             assert cache.wf is catalog.weight("size", registered)
             stats = catalog.marginal_stats()
-            assert stats["built"] == 1 and stats["loaded"] == 0
+            assert stats["built"] == 1
             assert "size" in stats["tables"]["t"]
         finally:
             catalog.close()
 
-    def test_strict_keying(self, tmp_path):
-        catalog = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
+    def test_strict_keying(self):
+        catalog = TableCatalog(marginal_mw=3.0)
         try:
             catalog.register("t", self.make_table())
             assert catalog.marginals_for("t", "size", 3.0) is not None
@@ -363,49 +236,8 @@ class TestCatalogLifecycle:
         finally:
             catalog.close()
 
-    def test_warm_restart_loads_identical_arrays(self, tmp_path):
-        table = self.make_table()
-        first = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
-        first.register("t", table)
-        built = first.marginals_for("t", "size", 3.0)
-        first.close()
-
-        second = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
-        try:
-            registered = second.register("t", self.make_table())
-            stats = second.marginal_stats()
-            assert stats["loaded"] == 1 and stats["built"] == 0
-            loaded = second.marginals_for("t", "size", 3.0)
-            for a, b in zip(built.entries, loaded.entries):
-                assert a[0] == b[0]
-                for x, y in zip(a[1:], b[1:]):
-                    assert np.array_equal(x, y)
-            wf = second.weight("size", registered)
-            cold = brs(registered, wf, 3, 3.0)
-            warm = brs(registered, wf, 3, 3.0, first_pick=loaded)
-            assert picks_of(warm) == picks_of(cold)
-        finally:
-            second.close()
-
-    def test_changed_table_rejects_stale_file(self, tmp_path):
-        first = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
-        first.register("t", self.make_table(seed=0))
-        first.close()
-
-        changed = self.make_table(seed=99)
-        second = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
-        try:
-            registered = second.register("t", changed)
-            stats = second.marginal_stats()
-            # The stale file's fingerprint disagrees: rejected, rebuilt.
-            assert stats["rejected"] == 1 and stats["built"] == 1
-            cache = second.marginals_for("t", "size", 3.0)
-            assert cache is not None and cache.table is registered
-        finally:
-            second.close()
-
-    def test_reregister_same_name_serves_new_table(self, tmp_path):
-        catalog = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
+    def test_reregister_same_name_serves_new_table(self):
+        catalog = TableCatalog(marginal_mw=3.0)
         try:
             catalog.register("t", self.make_table(seed=0))
             old = catalog.marginals_for("t", "size", 3.0)
@@ -422,68 +254,28 @@ class TestCatalogLifecycle:
         finally:
             catalog.close()
 
-    def test_corrupt_file_counted_and_rebuilt(self, tmp_path):
-        first = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
-        first.register("t", self.make_table())
-        first.close()
-        for path in tmp_path.glob("*.marginals.json"):
-            path.write_text("garbage", encoding="utf-8")
-
-        second = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
-        try:
-            second.register("t", self.make_table())
-            stats = second.marginal_stats()
-            assert stats["rejected"] == 1 and stats["built"] == 1
-            assert second.marginals_for("t", "size", 3.0) is not None
-        finally:
-            second.close()
-
-    def test_tampered_weight_counted_and_rebuilt(self, tmp_path):
-        first = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
-        first.register("t", self.make_table())
-        first.close()
-        for path in tmp_path.glob("*.marginals.json"):
-            payload = json.loads(path.read_text())
-            payload["entries"][0]["weight"] = 7.0
-            path.write_text(json.dumps(payload), encoding="utf-8")
-
-        second = TableCatalog(marginal_mw=3.0, marginal_dir=tmp_path)
-        try:
-            registered = second.register("t", self.make_table())
-            stats = second.marginal_stats()
-            assert stats["rejected"] == 1 and stats["built"] == 1
-            served = second.marginals_for("t", "size", 3.0)
-            rebuilt = build_first_pick_cache(registered, served.wf, 3.0)
-            assert [e[0] for e in served.entries] == [1.0] * registered.n_columns
-            for a, b in zip(served.entries, rebuilt.entries):
-                assert a[0] == b[0]
-                for x, y in zip(a[1:], b[1:]):
-                    assert np.array_equal(x, y)
-        finally:
-            second.close()
-
     def test_tmp_litter_swept_at_construction(self, tmp_path):
-        # Regression: SIGKILL mid-save leaves "<file>.tmp" in the
-        # marginals directory; before the sweep covered it, the litter
-        # accumulated forever.
-        marginal_dir = tmp_path / "marginals"
-        sample_dir = tmp_path / "samples"
-        marginal_dir.mkdir()
-        sample_dir.mkdir()
-        (marginal_dir / "t.size.marginals.json.tmp").write_text("partial")
-        (sample_dir / "t.samples.json.tmp").write_text("partial")
-        catalog = TableCatalog(
-            marginal_mw=3.0, marginal_dir=marginal_dir,
-            sample_budget=100, sample_dir=sample_dir,
-        )
-        try:
-            assert catalog.cleaned_tmp == 2
-            assert list(marginal_dir.glob("*.tmp")) == []
-            assert list(sample_dir.glob("*.tmp")) == []
-        finally:
-            catalog.close()
+        # Regression: SIGKILL mid-save leaves temp litter beside the
+        # persisted files; one sweep clears it from the snapshot and the
+        # sample directories, in both the old "<file>.tmp" and the
+        # current "<file>.tmp-<pid>-<tid>" forms.
+        from repro.serving import DrillDownServer
 
-    def test_unregister_drops_cache(self, tmp_path):
+        sample_dir = tmp_path / "samples"
+        sample_dir.mkdir()
+        (sample_dir / "t.samples.json.tmp").write_text("partial")
+        (sample_dir / "t.samples.json.tmp-7-7").write_text("partial")
+        (tmp_path / "sess-000001.jsonl.tmp").write_text("partial")
+        (tmp_path / "sess-000001.jsonl.tmp-7-7").write_text("partial")
+        with DrillDownServer(
+            persist_dir=tmp_path, marginal_mw=3.0, sample_budget=100
+        ) as server:
+            assert server.catalog.cleaned_tmp == 2
+            assert server.store.cleaned_tmp == 2
+            assert list(sample_dir.iterdir()) == []
+            assert [p for p in tmp_path.iterdir() if p.is_file()] == []
+
+    def test_unregister_drops_cache(self):
         catalog = TableCatalog(marginal_mw=3.0)
         try:
             catalog.register("t", self.make_table())

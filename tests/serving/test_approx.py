@@ -17,11 +17,15 @@ import urllib.request
 import numpy as np
 import pytest
 
-from repro.core.rule import STAR, Rule
+from repro.core.rule import STAR, Rule, cover_mask
 from repro.errors import ServingError, SessionError
 from repro.serving import DrillDownServer, TableCatalog, build_sample_set, derive_seed
 from repro.serving.http import serve
+from repro.codec import decode_rule
+from repro.serving.persistence import sweep_tmp
+from repro.serving.samples import load_sample_set, table_fingerprint
 from repro.session import DrillDownSession
+from repro.table import Schema, Table
 from tests.conftest import random_table
 
 ESTIMATE_KEYS = {
@@ -50,7 +54,6 @@ class TestCatalogSamples:
                 "loaded": 0,
                 "lazy_rebuilt": 0,
                 "stale": [],
-                "fresh": {"t": {"seen": table.n_rows, "size": 90}},
                 "tables": {"t": samples.describe()},
             }
 
@@ -87,11 +90,150 @@ class TestCatalogSamples:
             stats = revived.sample_stats()
             assert (stats["built"], stats["loaded"]) == (1, 0)
 
+    def test_same_shape_reregister_rebuilds_strata(self, tmp_path):
+        """A different table of the same shape under the same name must
+        not be served the first table's persisted strata."""
+        first = random_table(np.random.default_rng(1), n_rows=300, n_columns=3, domain=4)
+        second = random_table(np.random.default_rng(2), n_rows=300, n_columns=3, domain=4)
+        with TableCatalog(sample_budget=90, sample_dir=tmp_path) as catalog:
+            catalog.register("t", first)
+        with TableCatalog(sample_budget=90, sample_dir=tmp_path) as revived:
+            revived.register("t", second)
+            stats = revived.sample_stats()
+            assert (stats["built"], stats["loaded"]) == (1, 0)
+            samples = revived.samples_for("t")
+            assert samples.strata
+            for filt, stratum in samples.strata.items():
+                assert cover_mask(filt, second)[stratum.row_ids].all()
+
+    def test_fingerprint_tracks_content_not_name(self, tiny_table):
+        rows = [("a", "x", "p")] * tiny_table.n_rows
+        same_shape = Table.from_rows(Schema.categorical(["A", "B", "C"]), rows)
+        assert table_fingerprint(tiny_table) != table_fingerprint(same_shape)
+        clone = Table.from_rows(
+            Schema.categorical(["A", "B", "C"]),
+            [tuple(tiny_table.row(i)) for i in range(tiny_table.n_rows)],
+        )
+        assert table_fingerprint(tiny_table) == table_fingerprint(clone)
+
     def test_unregister_drops_samples(self, table):
         with TableCatalog(sample_budget=90) as catalog:
             catalog.register("t", table)
             catalog.unregister("t")
             assert catalog.samples_for("t") is None
+
+
+def _saved_samples(table, path, *, budget=90, seed=3):
+    built = build_sample_set(table, budget=budget, seed=seed)
+    built.save(path)
+    return built
+
+
+def _rewrite(path, edit):
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    edit(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+class TestSampleFileRoundTrip:
+    """``TableSampleSet.save`` / ``load_sample_set``: a file is served
+    only when every recorded fact still holds for the live table."""
+
+    def test_save_load_bit_identical(self, tmp_path, table):
+        path = tmp_path / "t.samples.json"
+        built = _saved_samples(table, path)
+        loaded = load_sample_set(path, table, budget=90, seed=3)
+        assert loaded is not None
+        assert loaded.describe() == built.describe()
+        assert np.array_equal(loaded.uniform.row_ids, built.uniform.row_ids)
+        assert loaded.strata.keys() == built.strata.keys()
+        for filt, stratum in built.strata.items():
+            assert np.array_equal(loaded.strata[filt].row_ids, stratum.row_ids)
+            assert loaded.strata[filt].population == stratum.population
+
+    @pytest.mark.parametrize(
+        "knobs, edit",
+        [
+            ({"budget": 91}, None),
+            ({"seed": 4}, None),
+            ({}, lambda p: p.update(version=1)),
+            ({}, lambda p: p.update(fingerprint="0" * 40)),
+        ],
+        ids=["budget", "seed", "version", "fingerprint"],
+    )
+    def test_mismatch_rejected(self, tmp_path, table, knobs, edit):
+        path = tmp_path / "t.samples.json"
+        _saved_samples(table, path)
+        if edit is not None:
+            _rewrite(path, edit)
+        load_knobs = {"budget": 90, "seed": 3, **knobs}
+        assert load_sample_set(path, table, **load_knobs) is None
+
+    def test_corrupt_file_returns_none(self, tmp_path, table):
+        path = tmp_path / "t.samples.json"
+        path.write_text("{not json", encoding="utf-8")
+        assert load_sample_set(path, table, budget=90, seed=3) is None
+
+    def test_missing_file_returns_none(self, tmp_path, table):
+        assert load_sample_set(tmp_path / "absent.json", table, budget=90, seed=3) is None
+
+    @pytest.mark.parametrize("bad_row", [-1, 300], ids=["negative", "past-end"])
+    def test_out_of_range_row_ids_rejected(self, tmp_path, table, bad_row):
+        path = tmp_path / "t.samples.json"
+        _saved_samples(table, path)
+        _rewrite(path, lambda p: p["samples"][0]["row_ids"].__setitem__(0, bad_row))
+        assert load_sample_set(path, table, budget=90, seed=3) is None
+
+    def test_population_below_sample_size_rejected(self, tmp_path, table):
+        path = tmp_path / "t.samples.json"
+        _saved_samples(table, path)
+
+        def shrink(payload):
+            record = payload["samples"][0]
+            record["population"] = len(record["row_ids"]) - 1
+
+        _rewrite(path, shrink)
+        assert load_sample_set(path, table, budget=90, seed=3) is None
+
+    def test_file_without_uniform_sample_rejected(self, tmp_path, table):
+        path = tmp_path / "t.samples.json"
+        _saved_samples(table, path)
+
+        def drop_uniform(payload):
+            payload["samples"] = [
+                r for r in payload["samples"] if not decode_rule(r["filter"]).is_trivial
+            ]
+            assert payload["samples"]
+
+        _rewrite(path, drop_uniform)
+        assert load_sample_set(path, table, budget=90, seed=3) is None
+
+    def test_corrupt_file_rebuilt_and_rewritten_by_catalog(self, tmp_path, table):
+        with TableCatalog(sample_budget=90, sample_dir=tmp_path) as catalog:
+            catalog.register("t", table)
+        (path,) = tmp_path.glob("*.samples.json")
+        path.write_text("{not json", encoding="utf-8")
+        with TableCatalog(sample_budget=90, sample_dir=tmp_path) as revived:
+            revived.register("t", table)
+            stats = revived.sample_stats()
+            assert (stats["built"], stats["loaded"]) == (1, 0)
+        with TableCatalog(sample_budget=90, sample_dir=tmp_path) as third:
+            third.register("t", table)
+            stats = third.sample_stats()
+            assert (stats["built"], stats["loaded"]) == (0, 1)
+
+    def test_sweep_tmp_removes_only_unpublished_litter(self, tmp_path, table):
+        path = tmp_path / "t.samples.json"
+        _saved_samples(table, path)
+        (tmp_path / "t.samples.json.tmp").write_text("x", encoding="utf-8")
+        (tmp_path / "t.samples.json.tmp-12-34").write_text("x", encoding="utf-8")
+        assert sweep_tmp(tmp_path) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.samples.json"]
+        assert load_sample_set(path, table, budget=90, seed=3) is not None
+
+    def test_sweep_tmp_without_directory_is_a_no_op(self, tmp_path):
+        assert sweep_tmp(None) == 0
+        assert sweep_tmp(tmp_path / "absent") == 0
 
 
 class TestServerKnobs:

@@ -1,9 +1,11 @@
-"""Fault injection for the snapshot store: crashes mid-save, torn
+"""Fault injection for the persisted files: crashes mid-save, torn
 files, garbage on disk, and the size cap.
 
 ``test_persistence.py`` pins the happy paths; this suite attacks the
-store the way production disks do — ``os.replace``/``os.fsync`` dying
-after partial writes, SIGKILL leaving ``.tmp`` litter behind,
+one writer (``atomic_write``, behind ``SnapshotStore.save`` and
+``TableSampleSet.save``) the way production disks do —
+``os.replace``/``os.fsync`` dying after partial writes, SIGKILL
+leaving ``.tmp`` litter behind,
 truncated/garbage/stale-version files planted in the directory — and
 asserts the contract from the module docstring: a warm restart *skips
 and counts*, never raises; failed writes never publish torn files or
@@ -15,13 +17,23 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.codec import encode_rule
 from repro.core.rule import STAR, Rule
 from repro.errors import SnapshotError
-from repro.serving import DrillDownServer, SessionSnapshot, SnapshotStore
+from repro.serving import (
+    DrillDownServer,
+    SessionSnapshot,
+    SnapshotStore,
+    TableCatalog,
+    build_sample_set,
+    derive_seed,
+    load_sample_set,
+)
 from repro.serving.persistence import SNAPSHOT_VERSION
 from repro.session import DrillDownSession
 
@@ -64,48 +76,100 @@ def _tiny_snapshot(sid: str, *, pad: int = 0) -> SessionSnapshot:
 # -- crash mid-save --------------------------------------------------------------
 
 
+def _save_snapshot(tmp_path, retail, second: bool) -> Path:
+    session = DrillDownSession(retail, k=3, mw=3.0)
+    if second:
+        session.expand(session.root.rule)
+    return SnapshotStore(tmp_path).save(_snapshot(session))
+
+
+def _reload_snapshot(tmp_path, retail) -> bool:
+    return bool(SnapshotStore(tmp_path).load("sess-000001").state["tree"]["children"])
+
+
+def _save_samples(tmp_path, retail, second: bool) -> Path:
+    path = tmp_path / "retail.samples.json"
+    build_sample_set(retail, budget=12, seed=int(second)).save(path)
+    return path
+
+
+def _reload_samples(tmp_path, retail) -> bool:
+    path = tmp_path / "retail.samples.json"
+    return load_sample_set(path, retail, budget=12, seed=1) is not None
+
+
+#: Both callers of the one atomic writer: ``(save, reload)``, where
+#: ``save(tmp_path, table, second)`` publishes the first or the second
+#: version of one file and ``reload`` checks the second one reads back.
+WRITERS = {
+    "snapshot": (_save_snapshot, _reload_snapshot),
+    "samples": (_save_samples, _reload_samples),
+}
+
+
+def _exploding_replace(src, dst, *args, **kwargs):
+    raise OSError("simulated crash between write and publish")
+
+
+def _exploding_fsync(fd):
+    raise OSError("simulated fsync failure (dying disk)")
+
+
 class TestCrashMidSave:
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
     def test_replace_failure_publishes_nothing_and_leaks_no_tmp(
-        self, tmp_path, retail, monkeypatch
+        self, tmp_path, retail, monkeypatch, writer
     ):
         """A crash between the temp write and the rename must leave the
-        previous snapshot byte-identical and the directory litter-free."""
-        session = DrillDownSession(retail, k=3, mw=3.0)
-        store = SnapshotStore(tmp_path)
-        store.save(_snapshot(session))
-        before = (tmp_path / "sess-000001.jsonl").read_bytes()
+        previous file byte-identical and the directory litter-free."""
+        save, reload = WRITERS[writer]
+        path = save(tmp_path, retail, False)
+        before = path.read_bytes()
 
-        session.expand(session.root.rule)
-
-        def exploding_replace(src, dst, *args, **kwargs):
-            raise OSError("simulated crash between write and publish")
-
-        monkeypatch.setattr(os, "replace", exploding_replace)
+        monkeypatch.setattr(os, "replace", _exploding_replace)
         with pytest.raises(OSError):
-            store.save(_snapshot(session))
+            save(tmp_path, retail, True)
         monkeypatch.undo()
 
-        assert (tmp_path / "sess-000001.jsonl").read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["sess-000001.jsonl"]
-        # The store still works once the disk recovers.
-        store.save(_snapshot(session))
-        assert store.load("sess-000001").state["tree"]["children"]
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        # The writer still works once the disk recovers.
+        assert save(tmp_path, retail, True).read_bytes() != before
+        assert reload(tmp_path, retail)
 
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
     def test_fsync_failure_before_rename_is_contained(
-        self, tmp_path, retail, monkeypatch
+        self, tmp_path, retail, monkeypatch, writer
     ):
-        session = DrillDownSession(retail, k=3, mw=3.0)
-        session.expand(session.root.rule)
-        store = SnapshotStore(tmp_path)
-
-        def exploding_fsync(fd):
-            raise OSError("simulated fsync failure (dying disk)")
-
-        monkeypatch.setattr(os, "fsync", exploding_fsync)
+        save, _reload = WRITERS[writer]
+        monkeypatch.setattr(os, "fsync", _exploding_fsync)
         with pytest.raises(OSError):
-            store.save(_snapshot(session))
+            save(tmp_path, retail, True)
         monkeypatch.undo()
         # Nothing published, nothing leaked: fsync fires before replace.
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "target, fault",
+        [("replace", _exploding_replace), ("fsync", _exploding_fsync)],
+        ids=["replace", "fsync"],
+    )
+    def test_sample_write_failure_still_serves_built_samples(
+        self, tmp_path, retail, monkeypatch, target, fault
+    ):
+        """Sample persistence is best-effort: a failed write costs the
+        warm restart, never the registration or the samples served."""
+        monkeypatch.setattr(os, target, fault)
+        with TableCatalog(sample_budget=12, sample_dir=tmp_path) as catalog:
+            catalog.register("retail", retail)
+            served = catalog.samples_for("retail")
+            assert catalog.sample_stats()["built"] == 1
+        monkeypatch.undo()
+        expected = build_sample_set(retail, budget=12, seed=derive_seed("retail", 0))
+        assert np.array_equal(served.uniform.row_ids, expected.uniform.row_ids)
+        assert served.strata.keys() == expected.strata.keys()
+        for filt, stratum in expected.strata.items():
+            assert np.array_equal(served.strata[filt].row_ids, stratum.row_ids)
         assert list(tmp_path.iterdir()) == []
 
     def test_sigkill_tmp_litter_is_swept_on_construction(self, tmp_path, retail):

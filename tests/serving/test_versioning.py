@@ -7,7 +7,7 @@ the same rows from scratch — across the incremental machinery
 that makes the append cheap — while every session opened before the
 append stays pinned to its version and does not move by a byte.  Superseded versions are reaped when their last
 pinned session closes, and reaping (like ``unregister``) purges the
-version's persisted sample/marginal artifacts.
+version's persisted sample artifact.
 """
 
 from __future__ import annotations
@@ -293,16 +293,15 @@ class TestArtifactPurge:
             sample_budget=16,
             sample_dir=tmp_path / "samples",
             marginal_mw=5.0,
-            marginal_dir=tmp_path / "marginals",
         )
 
     def test_unregister_purges_persisted_artifacts(self, tmp_path, tiny_table):
-        """The pre-fix behaviour stranded ``samples/<t>.json`` and
-        ``marginals/<t>.*.json`` on disk forever after unregister."""
+        """The pre-fix behaviour stranded ``samples/<t>.json`` on disk
+        forever after unregister."""
         catalog = self._catalog(tmp_path)
         catalog.register("t", tiny_table)
         before = sorted(p for p in tmp_path.rglob("*") if p.is_file())
-        assert before, "registration must persist sample/marginal artifacts"
+        assert before, "registration must persist the sample artifact"
         catalog.unregister("t")
         after = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert after == [], f"stranded artifacts: {after}"
@@ -320,8 +319,8 @@ class TestArtifactPurge:
         catalog.close()
 
     def test_append_keeps_artifacts_fresh(self, tmp_path, tiny_table):
-        """Appending re-fingerprints the persisted marginal cache and
-        invalidates the sample file so the next load rebuilds it."""
+        """Appending invalidates the sample file, and the lazy rebuild
+        re-persists it under the new table's fingerprint."""
         catalog = self._catalog(tmp_path)
         catalog.register("t", tiny_table)
         record = catalog.append_rows("t", [("q", "q", "q")])
@@ -331,5 +330,4 @@ class TestArtifactPurge:
         reopened.register("t", record.table)
         stats = reopened.sample_stats()
         assert stats["loaded"] == 1, "re-persisted sample file must load clean"
-        assert reopened.marginal_stats()["loaded"] >= 1
         reopened.close()

@@ -28,7 +28,6 @@ from repro.core import (
 )
 from repro.core.first_pick import build_first_pick_cache, extend_first_pick_cache
 from repro.serving import ContextStore, DrillDownServer, ShardRouter, TableCatalog
-from repro.serving.marginals import load_first_pick
 from repro.serving.http import main as http_main
 from repro.session import DrillDownSession
 
@@ -75,8 +74,6 @@ REMOVED = [
     (build_first_pick_cache, "pair_threshold"),
     (extend_first_pick_cache, "pair_limit"),
     (extend_first_pick_cache, "pair_threshold"),
-    (load_first_pick, "pair_limit"),
-    (load_first_pick, "pair_threshold"),
 ]
 
 
