@@ -71,6 +71,10 @@ WEIGHT_FUNCTIONS: dict[str, Callable[[Table], WeightFunction]] = {
     "size_minus_one": lambda table: SizeMinusOneWeight(),
 }
 
+#: Weightings the first-pick marginal caches are precomputed for; each
+#: costs one level-1 pass over the table at registration.
+MARGINAL_WEIGHTINGS = ("size",)
+
 _SAMPLE_FILE_SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
 
@@ -129,17 +133,13 @@ class TableCatalog:
         When set, :meth:`register` also precomputes the shared
         first-pick marginal cache
         (:class:`~repro.core.first_pick.FirstPickCache`) for each
-        ``marginal_weightings`` entry at this ``mw`` — the level-1
+        :data:`MARGINAL_WEIGHTINGS` entry at this ``mw`` — the level-1
         count/marginal vectors every cold session's first pick scans
         for.  Sessions whose ``(table, weighting, mw)`` matches get the
         cache read-only via :meth:`marginals_for`; everything else
         falls back to the normal scan.  ``None`` (default) disables
-        the cache.
-    marginal_weightings:
-        Weighting names (keys of :data:`WEIGHT_FUNCTIONS`) to
-        precompute marginals for; each costs one level-1 pass over the
-        table at registration.  The caches live in memory only: a
-        rebuild is cheaper than fingerprinting a persisted copy.
+        the cache.  The caches live in memory only: a rebuild is
+        cheaper than fingerprinting a persisted copy.
     """
 
     def __init__(
@@ -149,7 +149,6 @@ class TableCatalog:
         sample_seed: int = 0,
         sample_dir: str | os.PathLike | None = None,
         marginal_mw: float | None = None,
-        marginal_weightings: Sequence[str] = ("size",),
     ):
         if sample_budget is not None and sample_budget <= 0:
             raise ServingError("sample_budget must be a positive tuple count")
@@ -163,14 +162,7 @@ class TableCatalog:
         self._samples_loaded = 0
         if marginal_mw is not None and not float(marginal_mw) > 0:
             raise ServingError("marginal_mw must be > 0 (or None to disable)")
-        unknown = [w for w in marginal_weightings if w not in WEIGHT_FUNCTIONS]
-        if unknown:
-            raise ServingError(
-                f"unknown marginal weighting(s) {unknown!r}; "
-                f"choose from {sorted(WEIGHT_FUNCTIONS)}"
-            )
         self._marginal_mw = None if marginal_mw is None else float(marginal_mw)
-        self._marginal_weightings = tuple(marginal_weightings)
         self._marginals: dict[str, dict[str, FirstPickCache]] = {}
         self._marginals_built = 0
         # Weight-instance registry: one shared instance per (name,
@@ -343,7 +335,7 @@ class TableCatalog:
         with self._lock:
             old_marginals = dict(self._marginals.get(name, {}))
         caches: dict[str, FirstPickCache] = {}
-        for weighting in self._marginal_weightings:
+        for weighting in MARGINAL_WEIGHTINGS:
             wf = self.weight(weighting, table)
             cache = None
             old_cache = old_marginals.get(weighting) if old is not None else None
@@ -428,7 +420,7 @@ class TableCatalog:
             }
         return {
             "mw": self._marginal_mw,
-            "weightings": list(self._marginal_weightings),
+            "weightings": list(MARGINAL_WEIGHTINGS),
             "built": self._marginals_built,
             "tables": tables,
         }

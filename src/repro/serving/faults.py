@@ -39,7 +39,33 @@ from typing import Any, Callable, Iterable
 
 from repro.errors import CircuitOpenError, ServingError
 
-__all__ = ["ChaosPolicy", "ChaosRule", "CircuitBreaker", "ShardWatchdog"]
+__all__ = ["OPS", "ChaosPolicy", "ChaosRule", "CircuitBreaker", "ShardWatchdog"]
+
+
+#: Every op the shard pipe carries, by class — the one declaration the
+#: shard dispatcher, the router and :class:`ChaosRule` all read:
+#:
+#: * ``"read"`` — read-only and idempotent, so the router may retry it
+#:   after a shard restart (``read_retries``);
+#: * ``"write"`` — mutates a session and is never retried: it may have
+#:   been half-applied when the shard died;
+#: * ``"control"`` — table lifecycle and maintenance, exempt from the
+#:   tier's default deadline (a warm restore may legitimately run long).
+#:
+#: ``shutdown`` and ``chaos`` are frames of the worker loop, not ops.
+OPS: dict[str, str] = {
+    **dict.fromkeys(("ping", "tables", "stats", "render", "tree", "session_columns"), "read"),
+    **dict.fromkeys(
+        ("create_session", "expand", "expand_star", "expand_traditional", "collapse",
+         "close_session"),
+        "write",
+    ),
+    **dict.fromkeys(
+        ("register_table", "replace_table", "append_rows", "unregister_table",
+         "checkpoint_all", "reap"),
+        "control",
+    ),
+}
 
 
 # -- the circuit breaker ---------------------------------------------------------
@@ -244,7 +270,7 @@ class ChaosRule:
     * ``"error"`` — raise a typed
       :class:`~repro.errors.ShardError` instead of executing the op.
 
-    ``op`` matches the wire op name exactly, or ``"*"`` for any.
+    ``op`` matches an op of :data:`OPS` exactly, or ``"*"`` for any.
     Occurrence window: the rule skips its first ``after`` matching
     calls, then fires for the next ``times`` matches (``None`` =
     forever) — ``after=1, times=1`` is "crash on the second expand".
@@ -261,6 +287,8 @@ class ChaosRule:
             raise ServingError(
                 f"unknown chaos kind {self.kind!r}; one of {sorted(_CHAOS_KINDS)}"
             )
+        if self.op != "*" and self.op not in OPS:
+            raise ServingError(f"unknown chaos op {self.op!r}; '*' or one of {sorted(OPS)}")
         if self.seconds < 0:
             raise ServingError("chaos seconds must be >= 0")
         if self.after < 0:

@@ -53,7 +53,7 @@ would otherwise answer HTML to a JSON API.
 
 Run it::
 
-    PYTHONPATH=src python -m repro.serving.http --port 8080 --workers 2
+    PYTHONPATH=src python -m repro.serving.http --port 8080 --shards 2
 
 and walk through docs/SERVING.md with curl.  Add
 ``--persist-dir <dir>`` for durable sessions: trees are checkpointed
@@ -423,21 +423,14 @@ def make_handler(
                     approx = body.get("approx")
                     if approx is not None and not isinstance(approx, bool):
                         raise ReproError('"approx" must be a JSON boolean')
-                    if op == "expand":
-                        children = self.tier.expand(
-                            session_id, rule, k=body.get("k"), approx=approx,
-                            error_target=body.get("error_target"),
-                            deadline=deadline,
-                        )
-                    elif op == "expand_star":
-                        children = self.tier.expand_star(
-                            session_id, rule, body["column"], k=body.get("k"),
-                            approx=approx, error_target=body.get("error_target"),
-                            deadline=deadline,
-                        )
-                    else:
+                    if op == "collapse":
                         self.tier.collapse(session_id, rule, deadline=deadline)
                         return self._json(200, {"collapsed": rule_to_wire(rule)})
+                    columns = (body["column"],) if op == "expand_star" else ()
+                    children = getattr(self.tier, op)(
+                        session_id, rule, *columns, k=body.get("k"), approx=approx,
+                        error_target=body.get("error_target"), deadline=deadline,
+                    )
                     return self._json(
                         200, {"children": [node_to_wire(c) for c in children]}
                     )

@@ -54,7 +54,7 @@ from repro.errors import (
     UnknownSessionError,
     UnknownTableError,
 )
-from repro.serving.faults import ChaosPolicy, CircuitBreaker, ShardWatchdog
+from repro.serving.faults import OPS, ChaosPolicy, CircuitBreaker, ShardWatchdog
 from repro.serving.persistence import _SNAPSHOT_SUFFIX
 from repro.serving.shard import (
     ShardBusyError,
@@ -67,12 +67,15 @@ from repro.table.table import Table
 
 __all__ = ["ShardRouter"]
 
-#: Ops safe to retry transparently after a shard restart: read-only and
-#: idempotent — re-running them cannot double-apply anything.  Every
-#: mutating op (``expand*``, ``collapse``, ``create_session``, ...) is
-#: deliberately absent: it may have been half-applied when the shard
-#: died, so the caller must observe the typed 503 and decide.
-_RETRYABLE_OPS = frozenset({"render", "tree", "session_columns", "stats", "tables", "ping"})
+#: Points per shard on the consistent-hash ring (placement granularity:
+#: spreads tables evenly from a handful of names up).
+VIRTUAL_NODES = 64
+
+#: Seconds a watchdog health ``ping`` may take.
+PROBE_TIMEOUT = 5.0
+
+#: Base of the jittered exponential backoff between ``read_retries``.
+RETRY_BACKOFF = 0.05
 
 
 def _stable_hash(key: str) -> int:
@@ -114,13 +117,6 @@ class ShardRouter:
         under its original id.  (A *different* shard count re-places
         tables, so snapshots written under the old placement stay
         pending on disk — skipped, never corrupted.)
-    virtual_nodes:
-        Points per shard on the consistent-hash ring (placement
-        granularity; the default spreads tables evenly from a handful
-        of names up).
-    start_timeout:
-        Seconds to wait for a worker to come up before declaring the
-        spawn failed.
     default_deadline:
         Per-request deadline (seconds) applied when the caller passes
         none.  Bounds lock wait + pipe wait on every data-plane op;
@@ -132,19 +128,19 @@ class ShardRouter:
         :meth:`probe_shards` every this-many seconds; ``None``
         (default) runs no watchdog (tests call ``probe_shards``
         directly).
-    probe_timeout, wedge_timeout:
-        Watchdog budgets: seconds a health ``ping`` may take, and
-        seconds a shard may sit busy on one request before it is
-        declared wedged and killed.
+    wedge_timeout:
+        Seconds a shard may sit busy on one request before the watchdog
+        declares it wedged and kills it (a health ``ping`` may take
+        :data:`PROBE_TIMEOUT`).
     breaker_threshold, breaker_cooldown:
         Per-shard circuit breaker: consecutive transport failures
         before the circuit opens, and seconds it stays open before
         admitting a half-open probe.
-    read_retries, retry_backoff, retry_seed:
-        Transparent retry budget for *idempotent read-only* ops (see
-        :data:`_RETRYABLE_OPS`) after a shard restart, behind jittered
-        exponential backoff.  Default ``0``: every failure surfaces as
-        its typed error.
+    read_retries, retry_seed:
+        Transparent retry budget for the ``"read"`` ops of
+        :data:`~repro.serving.faults.OPS` after a shard restart, behind
+        jittered exponential backoff from :data:`RETRY_BACKOFF`.
+        Default ``0``: every failure surfaces as its typed error.
     clock:
         Injectable monotonic clock for the breakers (tests drive
         cooldowns deterministically).
@@ -166,40 +162,30 @@ class ShardRouter:
         default_error_target: float = 0.1,
         marginal_cache: bool = True,
         marginal_mw: float = 5.0,
-        marginal_weightings: tuple = ("size",),
         persist_dir: str | os.PathLike | None = None,
         persist_max_bytes: int | None = None,
         checkpoint_interval: float | None = None,
         reaper_interval: float | None = None,
-        virtual_nodes: int = 64,
-        start_timeout: float = 60.0,
         default_deadline: float | None = None,
         watchdog_interval: float | None = None,
-        probe_timeout: float = 5.0,
         wedge_timeout: float = 30.0,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 1.0,
         read_retries: int = 0,
-        retry_backoff: float = 0.05,
         retry_seed: int | None = None,
         clock=time.monotonic,
     ):
         if n_shards < 1:
             raise ServingError("a sharded tier needs at least 1 shard")
-        if virtual_nodes < 1:
-            raise ServingError("virtual_nodes must be >= 1")
         if default_deadline is not None and default_deadline <= 0:
             raise ServingError("default_deadline must be > 0 seconds (or None)")
         if read_retries < 0:
             raise ServingError("read_retries must be >= 0")
         self.n_shards = n_shards
         self._persist_dir = None if persist_dir is None else Path(persist_dir)
-        self._start_timeout = start_timeout
         self._default_deadline = default_deadline
-        self._probe_timeout = probe_timeout
         self._wedge_timeout = wedge_timeout
         self._read_retries = int(read_retries)
-        self._retry_backoff = retry_backoff
         self._retry_rng = random.Random(retry_seed)
         self._clock = clock
         self._breakers = [
@@ -227,7 +213,6 @@ class ShardRouter:
             default_error_target=default_error_target,
             marginal_cache=marginal_cache,
             marginal_mw=marginal_mw,
-            marginal_weightings=tuple(marginal_weightings),
             persist_max_bytes=persist_max_bytes,
             checkpoint_interval=checkpoint_interval,
             reaper_interval=reaper_interval,
@@ -237,7 +222,7 @@ class ShardRouter:
         self._ring = sorted(
             (_stable_hash(f"shard-{index}/vnode-{vnode}"), index)
             for index in range(n_shards)
-            for vnode in range(virtual_nodes)
+            for vnode in range(VIRTUAL_NODES)
         )
         self._ring_points = [point for point, _ in self._ring]
         # Routing state.  _tables keeps the live Table: identity for idempotent
@@ -321,10 +306,7 @@ class ShardRouter:
         # locks in the child and hang it, so recovery workers start via
         # spawn.  Construction-time workers keep the cheap fork.
         return ShardProcess(
-            index,
-            self._shard_kwargs(index),
-            start_timeout=self._start_timeout,
-            start_method="spawn" if respawn else None,
+            index, self._shard_kwargs(index), start_method="spawn" if respawn else None
         )
 
     def _recover_slot(
@@ -466,7 +448,6 @@ class ShardRouter:
         args: dict | None = None,
         *,
         deadline: float | None = None,
-        use_default: bool = True,
     ):
         """One breaker-guarded, deadline-bounded pipe round trip.
 
@@ -485,14 +466,14 @@ class ShardRouter:
         * broken pipe / EOF → restart, then
           :class:`~repro.errors.ShardDownError`.
 
-        ``use_default=False`` exempts control-plane ops
-        (``register_table`` warm restore, ``checkpoint_all``, ...) from
-        the tier's default deadline — recovery work must not be cut
-        short by a knob sized for interactive requests.
+        ``"control"`` ops of :data:`~repro.serving.faults.OPS`
+        (``register_table`` warm restore, ``checkpoint_all``, ...) are
+        exempt from the tier's default deadline — recovery work must not
+        be cut short by a knob sized for interactive requests.
         """
         breaker = self._breakers[shard.index]
         breaker.acquire()
-        if deadline is None and use_default:
+        if deadline is None and OPS[op] != "control":
             deadline = self._default_deadline
         with self._lock:
             generation = self._generations[shard.index]
@@ -542,8 +523,10 @@ class ShardRouter:
         optionally retrying.  ``args`` are the verb's other arguments;
         a ``rule`` among them is encoded here.
 
-        Only ops in :data:`_RETRYABLE_OPS` are ever retried, and only
-        when ``read_retries > 0`` was configured: after a
+        Only ``"read"`` ops of :data:`~repro.serving.faults.OPS` are
+        ever retried, and only when ``read_retries > 0`` was configured
+        — a mutating op may have been half-applied when the shard died,
+        so the caller must observe the typed 503 and decide: after a
         :class:`ShardDownError` the loop re-resolves the shard (the
         slot now holds the restarted worker) and retries behind a
         jittered exponential backoff.  Deadline and circuit-open
@@ -554,11 +537,11 @@ class ShardRouter:
         args = {"session_id": session_id, **args}
         if args.get("rule") is not None:
             args["rule"] = encode_rule(args["rule"])
-        attempts = 1 + (self._read_retries if op in _RETRYABLE_OPS else 0)
+        attempts = 1 + (self._read_retries if OPS[op] == "read" else 0)
         last: ShardDownError | None = None
         for attempt in range(attempts):
             if attempt:
-                backoff = self._retry_backoff * (2 ** (attempt - 1))
+                backoff = RETRY_BACKOFF * (2 ** (attempt - 1))
                 time.sleep(backoff * (0.5 + self._retry_rng.random() / 2.0))
             shard, _table = self._session_shard(session_id)
             try:
@@ -586,7 +569,7 @@ class ShardRouter:
         wedged mid-request past ``wedge_timeout`` (killed outright, so
         deadline-less traffic gets coverage too), and a worker whose
         pipe broke or that misses the ``ping`` within
-        ``probe_timeout``.  A shard that is merely *busy* — request
+        :data:`PROBE_TIMEOUT`.  A shard that is merely *busy* — request
         lock held, but not past the wedge budget — is skipped: load is
         not sickness.  Returns the indices this sweep recovered.
         Driven periodically by :class:`ShardWatchdog` when the router
@@ -617,7 +600,7 @@ class ShardRouter:
                     recovered.append(index)
                 continue
             try:
-                shard.request("ping", {}, timeout=self._probe_timeout)
+                shard.request("ping", {}, timeout=PROBE_TIMEOUT)
             except ShardBusyError:
                 continue  # busy, not sick — the wedge clock above decides
             except ShardWedgedError:
@@ -672,12 +655,7 @@ class ShardRouter:
     def _send_table(self, verb: str, name: str, table: Table) -> dict:
         """Ship ``table`` to its shard; keep it (a respawn encodes afresh)."""
         shard = self._shard(self._placement(name))
-        result = self._request(
-            shard,
-            verb,
-            {"name": name, "table": encode_table(table)},
-            use_default=False,  # warm restore may legitimately run long
-        )
+        result = self._request(shard, verb, {"name": name, "table": encode_table(table)})
         with self._lock:
             self._tables[name] = table
             self._table_versions[name] = int(result.get("version", 1))
@@ -715,9 +693,7 @@ class ShardRouter:
         new_table = held.append_rows(normalized)
         encoded_rows = [[encode_value(v) for v in row] for row in normalized]
         shard = self._shard(self._placement(name))
-        result = self._request(
-            shard, "append_rows", {"name": name, "rows": encoded_rows}, use_default=False
-        )
+        result = self._request(shard, "append_rows", {"name": name, "rows": encoded_rows})
         with self._lock:
             # Lost-update guard: only advance the mirror if nobody
             # re-registered/replaced the table while the pipe was busy.
@@ -739,7 +715,7 @@ class ShardRouter:
             if name not in self._tables:
                 return
         shard = self._shard(self._placement(name))
-        self._request(shard, "unregister_table", {"name": name}, use_default=False)
+        self._request(shard, "unregister_table", {"name": name})
         with self._lock:
             self._tables.pop(name, None)
             self._table_versions.pop(name, None)
@@ -815,9 +791,7 @@ class ShardRouter:
         error_target: float | None = None,
         deadline: float | None = None,
     ) -> list[SessionNode]:
-        args = {"rule": rule, "k": k, "approx": approx, "error_target": error_target}
-        result = self._session_request(session_id, "expand", args, deadline=deadline)
-        return [decode_node(c) for c in result]
+        return self._expand("expand", session_id, rule, None, k, approx, error_target, deadline)
 
     def expand_star(
         self,
@@ -830,15 +804,9 @@ class ShardRouter:
         error_target: float | None = None,
         deadline: float | None = None,
     ) -> list[SessionNode]:
-        args = {
-            "rule": rule,
-            "column": column,
-            "k": k,
-            "approx": approx,
-            "error_target": error_target,
-        }
-        result = self._session_request(session_id, "expand_star", args, deadline=deadline)
-        return [decode_node(c) for c in result]
+        return self._expand(
+            "expand_star", session_id, rule, column, k, approx, error_target, deadline
+        )
 
     def expand_traditional(
         self,
@@ -851,16 +819,27 @@ class ShardRouter:
         error_target: float | None = None,
         deadline: float | None = None,
     ) -> list[SessionNode]:
-        args = {
-            "rule": rule,
-            "column": column,
-            "k": k,
-            "approx": approx,
-            "error_target": error_target,
-        }
-        result = self._session_request(
-            session_id, "expand_traditional", args, deadline=deadline
+        return self._expand(
+            "expand_traditional", session_id, rule, column, k, approx, error_target, deadline
         )
+
+    def _expand(
+        self,
+        op: str,
+        session_id: str,
+        rule: Rule | None,
+        column: int | str | None,
+        k: int | None,
+        approx: bool | None,
+        error_target: float | None,
+        deadline: float | None,
+    ) -> list[SessionNode]:
+        """One expansion verb over the pipe; ``column`` is sent by the
+        two column verbs only."""
+        args = dict(rule=rule, column=column, k=k, approx=approx, error_target=error_target)
+        if op == "expand":
+            del args["column"]
+        result = self._session_request(session_id, op, args, deadline=deadline)
         return [decode_node(c) for c in result]
 
     def collapse(
@@ -889,9 +868,7 @@ class ShardRouter:
         for index in range(self.n_shards):
             shard = self._shard(index)
             try:
-                result = self._request(
-                    shard, "checkpoint_all", {"only_dirty": only_dirty}, use_default=False
-                )
+                result = self._request(shard, "checkpoint_all", {"only_dirty": only_dirty})
             except ShardDownError:
                 continue  # restarted; its sessions were just restored clean
             written += int(result)
@@ -903,7 +880,7 @@ class ShardRouter:
         for index in range(self.n_shards):
             shard = self._shard(index)
             try:
-                result = self._request(shard, "reap", {}, use_default=False)
+                result = self._request(shard, "reap", {})
             except ShardDownError:
                 continue
             evicted.extend(result)

@@ -184,7 +184,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         default_error_target: float = 0.1,
         marginal_cache: bool = True,
         marginal_mw: float = 5.0,
-        marginal_weightings: tuple = ("size",),
     ):
         if default_approx and sample_budget is None:
             raise ServingError(
@@ -204,7 +203,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
             sample_seed=sample_seed,
             sample_dir=sample_dir,
             marginal_mw=float(marginal_mw) if marginal_cache else None,
-            marginal_weightings=marginal_weightings,
         )
         self.registry = SessionRegistry(
             max_sessions=max_sessions,
@@ -326,19 +324,8 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
             # is informational provenance, not an address).
             record = self.catalog.pin(name)
             try:
-                wf = self.weight(snapshot.wf_spec, table)
-                session = DrillDownSession.restore(
-                    table,
-                    snapshot.state,
-                    wf=wf,
-                    tenant=snapshot.tenant,
-                    context_store=self.contexts,
-                    samples=self.catalog.samples_for(name),
-                    default_approx=self.default_approx,
-                    error_target=self.default_error_target,
-                    marginals=self.catalog.marginals_for(
-                        name, snapshot.wf_spec or wf, snapshot.state.get("mw")
-                    ),
+                session = self._open_session(
+                    name, table, snapshot.wf_spec, snapshot.tenant, state=snapshot.state
                 )
             except ReproError:
                 self.catalog.unpin(name, record.version)
@@ -424,20 +411,9 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         # record alive until the session leaves the
         # registry, even across later appends and unregisters.
         record = self.catalog.pin(table)
-        source = record.table
         try:
-            session = DrillDownSession(
-                source,
-                wf=self.weight(wf, source),
-                k=k,
-                mw=mw,
-                measure=measure,
-                context_store=self.contexts,
-                tenant=tenant,
-                samples=self.catalog.samples_for(table),
-                default_approx=self.default_approx,
-                error_target=self.default_error_target,
-                marginals=self.catalog.marginals_for(table, wf, mw),
+            session = self._open_session(
+                table, record.table, wf, tenant, k=k, mw=mw, measure=measure
             )
             return self.registry.add(
                 session,
@@ -449,6 +425,34 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         except BaseException:
             self.catalog.unpin(table, record.version)
             raise
+
+    def _open_session(
+        self,
+        name: str,
+        source: Table,
+        wf: str | WeightFunction,
+        tenant: str,
+        *,
+        state: dict | None = None,
+        **config,
+    ) -> DrillDownSession:
+        """A session over catalog table ``name`` wired to the tier's
+        shared structures: the one construction site, so a restored
+        session (``state=``, a snapshot) cannot be configured differently
+        from a fresh one (``k``/``mw``/``measure`` in ``config``)."""
+        mw = config["mw"] if state is None else state.get("mw")
+        shared = dict(
+            wf=self.weight(wf, source),
+            tenant=tenant,
+            context_store=self.contexts,
+            samples=self.catalog.samples_for(name),
+            default_approx=self.default_approx,
+            error_target=self.default_error_target,
+            marginals=self.catalog.marginals_for(name, wf, mw),
+        )
+        if state is None:
+            return DrillDownSession(source, **shared, **config)
+        return DrillDownSession.restore(source, state, **shared)
 
     def session(self, session_id: str) -> DrillDownSession:
         """The live session for ``session_id`` (touches TTL/LRU)."""
@@ -574,15 +578,7 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         escalates to exact mining.  ``approx``/``error_target`` default
         to the server's ``default_approx``/``default_error_target``.
         """
-        return self._run_expansion(
-            session_id,
-            lambda session: session.expand(
-                rule if rule is not None else session.root.rule,
-                k=k, approx=approx, error_target=error_target,
-            ),
-            op="expand",
-            deadline=deadline,
-        )
+        return self._expand("expand", session_id, rule, None, k, approx, error_target, deadline)
 
     def expand_star(
         self,
@@ -596,13 +592,8 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         deadline: float | None = None,
     ) -> list[SessionNode]:
         """Star drill-down on a ``?`` cell for one tenant."""
-        return self._run_expansion(
-            session_id,
-            lambda session: session.expand_star(
-                rule, column, k=k, approx=approx, error_target=error_target
-            ),
-            op="expand_star",
-            deadline=deadline,
+        return self._expand(
+            "expand_star", session_id, rule, column, k, approx, error_target, deadline
         )
 
     def expand_traditional(
@@ -617,14 +608,32 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         deadline: float | None = None,
     ) -> list[SessionNode]:
         """Classic OLAP drill-down for one tenant (metered like the others)."""
-        return self._run_expansion(
-            session_id,
-            lambda session: session.expand_traditional(
-                rule, column, k=k, approx=approx, error_target=error_target
-            ),
-            op="expand_traditional",
-            deadline=deadline,
+        return self._expand(
+            "expand_traditional", session_id, rule, column, k, approx, error_target, deadline
         )
+
+    def _expand(
+        self,
+        op: str,
+        session_id: str,
+        rule: Rule | None,
+        column: int | str | None,
+        k: int | None,
+        approx: bool | None,
+        error_target: float | None,
+        deadline: float | None,
+    ) -> list[SessionNode]:
+        """Meter the session verb named ``op`` via :meth:`_run_expansion`;
+        the verb is looked up per call, so a rebound method is honoured."""
+
+        def operation(session: DrillDownSession) -> list[SessionNode]:
+            verb = getattr(session, op)
+            if op == "expand":
+                target = session.root.rule if rule is None else rule
+                return verb(target, k=k, approx=approx, error_target=error_target)
+            return verb(rule, column, k=k, approx=approx, error_target=error_target)
+
+        return self._run_expansion(session_id, operation, op=op, deadline=deadline)
 
     def collapse(self, session_id: str, rule: Rule, *, deadline: float | None = None) -> None:
         """Roll-up: free (no token charge) — it touches no table data."""

@@ -19,7 +19,8 @@ and the protocol both sides speak:
   bit-exactly, and a decoded table's dictionary codes — hence every
   mining tie-break — match the original's.
 * **One verb dispatcher** — an op names a
-  :class:`~repro.serving.DrillDownServer` verb from a fixed whitelist;
+  :class:`~repro.serving.DrillDownServer` verb from
+  :data:`~repro.serving.faults.OPS`;
   the worker decodes a ``rule`` argument, calls the verb with the
   frame's arguments and encodes any :class:`SessionNode` in the
   result.  Only ``ping``, ``register_table``, ``append_rows`` and
@@ -52,7 +53,7 @@ from typing import Any
 from repro import errors as _errors_module
 from repro.codec import decode_rule, decode_table, decode_value
 from repro.errors import ReproError, ShardError, TenantBudgetError
-from repro.serving.faults import ChaosPolicy
+from repro.serving.faults import OPS, ChaosPolicy
 from repro.session.session import SessionNode, decode_node, encode_node
 
 __all__ = [
@@ -65,6 +66,11 @@ __all__ = [
     "encode_node",
     "shard_main",
 ]
+
+
+#: Seconds a worker may take to construct its server and answer the
+#: start-up ``ping`` before the spawn is declared failed.
+START_TIMEOUT = 60.0
 
 
 class ShardWedgedError(TimeoutError):
@@ -190,27 +196,6 @@ _OWN_BODY_OPS = {
     "replace_table": _op_replace_table,
 }
 
-#: Ops answered by the :class:`DrillDownServer` verb of the same name,
-#: called with the frame's arguments.
-_VERB_OPS = frozenset(
-    {
-        "unregister_table",
-        "tables",
-        "create_session",
-        "expand",
-        "expand_star",
-        "expand_traditional",
-        "collapse",
-        "render",
-        "tree",
-        "session_columns",
-        "close_session",
-        "stats",
-        "checkpoint_all",
-        "reap",
-    }
-)
-
 
 def _encode_result(value: Any) -> Any:
     if isinstance(value, SessionNode):
@@ -221,15 +206,36 @@ def _encode_result(value: Any) -> Any:
 
 
 def _dispatch(server, op: str, args: dict) -> Any:
-    """Answer one op: its own body, or the server verb it names."""
+    """Answer one op of :data:`OPS`: its own body, or the server verb it
+    names, called with the frame's arguments."""
+    if op not in OPS:
+        raise ShardError(f"unknown shard op {op!r}")
     own = _OWN_BODY_OPS.get(op)
     if own is not None:
         return own(server, args)
-    if op not in _VERB_OPS:
-        raise ShardError(f"unknown shard op {op!r}")
     if args.get("rule") is not None:
         args["rule"] = decode_rule(args["rule"])
     return _encode_result(getattr(server, op)(**args))
+
+
+def _send(conn, response: dict) -> bool:
+    """Send one response frame; ``False`` when the pipe is gone."""
+    try:
+        conn.send_bytes(json.dumps(response, default=str).encode("utf-8"))
+    except (BrokenPipeError, OSError):
+        return False
+    return True
+
+
+def _refuse_start(conn, exc: ReproError) -> None:
+    """Answer the start-up ``ping`` with the server constructor's typed
+    error, so a bad setting reaches the router as itself."""
+    try:
+        request = json.loads(conn.recv_bytes().decode("utf-8"))
+        _send(conn, {"id": request.get("id"), "ok": False, **encode_error(exc)})
+    except (EOFError, OSError, ValueError):
+        pass
+    conn.close()
 
 
 def shard_main(conn, shard_id: int, server_kwargs: dict) -> None:
@@ -242,13 +248,18 @@ def shard_main(conn, shard_id: int, server_kwargs: dict) -> None:
     the loop itself only exits on ``shutdown`` or a closed pipe, and
     always closes the server on the way out (checkpointing dirty
     sessions when durable, so even an EOF-terminated shard leaves a
-    warm-restartable directory behind).
+    warm-restartable directory behind).  A constructor that raises a
+    typed error answers the start-up ``ping`` with it and exits.
     """
     # Imported lazily so the module can be loaded by spawn-method
     # pickling before the server's dependency graph is.
     from repro.serving.server import DrillDownServer
 
-    server = DrillDownServer(**server_kwargs)
+    try:
+        server = DrillDownServer(**server_kwargs)
+    except ReproError as exc:
+        _refuse_start(conn, exc)
+        return
     chaos: ChaosPolicy | None = None
     try:
         while True:
@@ -263,12 +274,7 @@ def shard_main(conn, shard_id: int, server_kwargs: dict) -> None:
             request_id = request.get("id")
             op = request.get("op")
             if op == "shutdown":
-                try:
-                    conn.send_bytes(
-                        json.dumps({"id": request_id, "ok": True, "result": {}}).encode()
-                    )
-                except (BrokenPipeError, OSError):  # pragma: no cover - racing close
-                    pass
+                _send(conn, {"id": request_id, "ok": True, "result": {}})
                 break
             if op == "chaos":
                 # Fault-injection control plane: install (or clear) a
@@ -285,9 +291,7 @@ def shard_main(conn, shard_id: int, server_kwargs: dict) -> None:
                     }
                 except Exception as exc:
                     response = {"id": request_id, "ok": False, **encode_error(exc)}
-                try:
-                    conn.send_bytes(json.dumps(response, default=str).encode("utf-8"))
-                except (BrokenPipeError, OSError):  # pragma: no cover - racing close
+                if not _send(conn, response):  # pragma: no cover - racing close
                     break
                 continue
             chaos_rule = None if chaos is None else chaos.fire(op)
@@ -311,9 +315,7 @@ def shard_main(conn, shard_id: int, server_kwargs: dict) -> None:
                     time.sleep(chaos_rule.seconds)
                 if chaos_rule.kind == "drop_reply":
                     continue  # the op ran; its reply is lost on the floor
-            try:
-                conn.send_bytes(json.dumps(response, default=str).encode("utf-8"))
-            except (BrokenPipeError, OSError):
+            if not _send(conn, response):
                 break
     finally:
         server.close()
@@ -360,7 +362,6 @@ class ShardProcess:
         index: int,
         server_kwargs: dict,
         *,
-        start_timeout: float = 60.0,
         start_method: str | None = None,
     ):
         ctx = _mp_context(start_method)
@@ -394,12 +395,14 @@ class ShardProcess:
         #: deadline-less traffic.  Plain attribute; racy reads are fine.
         self.busy_since: float | None = None
         # First contact doubles as the startup barrier: a worker whose
-        # server constructor raised has already exited, and the recv
-        # EOFs instead of hanging.
+        # server constructor raised a typed error answers with it; one
+        # that died otherwise EOFs the recv instead of hanging.
         try:
-            self.request("ping", timeout=start_timeout)
-        except (OSError, EOFError) as exc:
+            self.request("ping", timeout=START_TIMEOUT)
+        except (OSError, EOFError, ReproError) as exc:
             self.reap()
+            if isinstance(exc, ReproError):
+                raise
             raise ShardError(f"shard {index} failed to start") from exc
 
     # -- request/response --------------------------------------------------------

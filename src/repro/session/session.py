@@ -60,7 +60,7 @@ from repro.core.scoring import ScoredRule
 from repro.core.search_cache import SearchContext
 from repro.core.weights import SizeWeight, WeightFunction
 from repro.errors import SessionClosedError, SessionError, SnapshotError
-from repro.sampling.estimate import estimate_count
+from repro.sampling.estimate import CountEstimate, estimate_count
 from repro.sampling.handler import SampleHandler
 from repro.storage.disk import DiskTable
 from repro.table.table import Table
@@ -444,19 +444,6 @@ class DrillDownSession:
                 self._table if source is None else source, tag, context
             )
 
-    def _expandable_node(self, rule: Rule) -> SessionNode:
-        """The displayed, not-yet-expanded node for ``rule``.
-
-        Validated *before* any table work runs: an already-expanded (or
-        undisplayed) rule must fail here, not after a full mining pass —
-        the serving tier refunds a rejected expansion's budget charge on
-        the promise that rejection costs nothing.
-        """
-        node = self.node(rule)
-        if node.children:
-            raise SessionError(f"rule {rule} is already expanded; collapse it first")
-        return node
-
     def _acquire(self, rule: Rule) -> tuple[Table, float, str, int]:
         """Table to mine for ``rule``: a sample (scaled) or the full data."""
         if self.handler is None:
@@ -490,125 +477,10 @@ class DrillDownSession:
         parent.expanded_via = kind
         return children
 
-    def _record(
-        self,
-        rule: Rule,
-        kind: str,
-        k: int,
-        wall: float,
-        method: str,
-        sample_size: int,
-        scale: float,
-        io_before: float,
-    ) -> None:
-        io_now = self._disk.io_stats.simulated_seconds if self._disk else 0.0
-        self.history.append(
-            ExpansionRecord(
-                rule=rule,
-                kind=kind,
-                k=k,
-                wall_seconds=wall,
-                simulated_io_seconds=io_now - io_before,
-                sample_method=method,
-                sample_size=sample_size,
-                scale=scale,
-            )
-        )
-
     def _prefetch(self, parent: SessionNode) -> None:
         if self.handler is None or not self.prefetch_enabled or not parent.children:
             return
         self.handler.prefetch(parent.rule, [c.rule for c in parent.children])
-
-    # -- approximate expansion (§4.3 over pre-built serving samples) ---------------
-
-    def _resolve_approx(self, approx: Any, error_target: Any) -> tuple[bool, float]:
-        """Resolve the per-call ``approx``/``error_target`` knobs.
-
-        Validation happens before any table work so the serving tier's
-        refund-on-rejection policy holds for bad knobs too.
-        """
-        target = (
-            self.error_target if error_target is None else _validated_error_target(error_target)
-        )
-        use = self.default_approx if approx is None else bool(approx)
-        if use and self._samples is None:
-            raise SessionError(
-                "approximate expansion requires pre-built samples "
-                "(register the table with a sample_budget, or pass samples=)"
-            )
-        return use, target
-
-    def _run_approx(
-        self,
-        node: SessionNode,
-        rule: Rule,
-        k: int | None,
-        kind: str,
-        target: float,
-        cache_key: tuple,
-        tag: tuple | None,
-        mine: Callable[[Table, "SearchContext | None"], Any],
-    ) -> list[SessionNode]:
-        """One approximate expansion: mine on the best stored sample,
-        stamp per-child :class:`CountEstimate` metadata, and escalate
-        the whole expansion to exact mining when any child's interval
-        half-width crosses the greedy decision boundary
-        (``target × max(estimate, 1)``) — so a tight ``error_target``
-        provably returns the exact rule list.
-        """
-        assert self._samples is not None and self._table is not None
-        start = time.perf_counter()
-        sample = self._samples.sample_for(rule)
-        approx_key = (*cache_key, "approx", sample.filter_rule)
-        result = mine(sample.table, self._lease_context(approx_key, tag, source=sample.table))
-        self._retain_context(approx_key, tag, result.context, source=sample.table)
-        entries = result.rule_list.entries
-        estimates = {
-            entry.rule: estimate_count(sample, entry.rule, confidence=self.approx_confidence)
-            for entry in entries
-        }
-        escalate = any(
-            est.half_width > target * max(est.estimate, 1.0)
-            for est in estimates.values()
-        )
-        if escalate:
-            result = mine(self._table, self._lease_context(cache_key, tag))
-            self._retain_context(cache_key, tag, result.context)
-            children = self._attach(node, result.rule_list.entries, 1.0, kind)
-            for child in children:
-                child.estimate = {
-                    "estimate": child.count,
-                    "low": child.count,
-                    "high": child.count,
-                    "confidence": self.approx_confidence,
-                    "sample_size": self._table.n_rows,
-                    "scale": 1.0,
-                    "escalated": True,
-                    "exact": True,
-                }
-            method, sample_size, scale = "approx-escalated", self._table.n_rows, 1.0
-        else:
-            children = self._attach(node, entries, sample.scale, kind)
-            for child in children:
-                est = estimates[child.rule]
-                child.estimate = {
-                    "estimate": est.estimate,
-                    "low": est.low,
-                    "high": est.high,
-                    "confidence": est.confidence,
-                    "sample_size": est.sample_size,
-                    "scale": sample.scale,
-                    "escalated": False,
-                    "exact": est.half_width == 0.0,
-                }
-            method, sample_size, scale = "approx", sample.size, sample.scale
-        wall = time.perf_counter() - start
-        self._record(
-            rule, kind, k if k is not None else len(children),
-            wall, method, sample_size, scale, 0.0,
-        )
-        return children
 
     # -- the user-facing operations -------------------------------------------------
 
@@ -628,34 +500,7 @@ class DrillDownSession:
         escalating to exact mining when an estimate crosses the
         ``error_target`` decision boundary.
         """
-        self._begin_op()
-        node = self._expandable_node(rule)
-        k = self.k if k is None else _validated_k(k)
-        use_approx, target = self._resolve_approx(approx, error_target)
-        cache_key = ("rule", rule, None)
-        tag = drilldown_tag(
-            "rule", rule, None, measure=self.measure, wf=self.wf, mw=self.mw
-        )
-        if use_approx:
-            def mine(table: Table, context: "SearchContext | None"):
-                return rule_drilldown(
-                    table, rule, self.wf, k, self.mw, measure=self.measure, context=context
-                )
-
-            return self._run_approx(node, rule, k, "rule", target, cache_key, tag, mine)
-        io_before = self._disk.io_stats.simulated_seconds if self._disk else 0.0
-        start = time.perf_counter()
-        mined, scale, method, sample_size = self._acquire(rule)
-        result = rule_drilldown(
-            mined, rule, self.wf, k, self.mw, measure=self.measure,
-            context=self._lease_context(cache_key, tag), first_pick=self._marginals,
-        )
-        self._retain_context(cache_key, tag, result.context)
-        children = self._attach(node, result.rule_list.entries, scale, "rule")
-        wall = time.perf_counter() - start
-        self._record(rule, "rule", k, wall, method, sample_size, scale, io_before)
-        self._prefetch(node)
-        return children
+        return self._expand("rule", rule, None, k, approx, error_target)
 
     def expand_star(
         self,
@@ -667,49 +512,7 @@ class DrillDownSession:
         error_target: float | None = None,
     ) -> list[SessionNode]:
         """Smart drill-down on a ``?`` cell of ``rule`` (§2.3)."""
-        self._begin_op()
-        node = self._expandable_node(rule)
-        k = self.k if k is None else _validated_k(k)
-        use_approx, target = self._resolve_approx(approx, error_target)
-        if use_approx:
-            assert self._table is not None
-            resolved_column = (
-                self._table.schema.index_of(column) if isinstance(column, str) else column
-            )
-            cache_key = ("star", rule, resolved_column)
-            tag = drilldown_tag(
-                "star", rule, resolved_column,
-                measure=self.measure, wf=self.wf, mw=self.mw,
-            )
-
-            def mine(table: Table, context: "SearchContext | None"):
-                return star_drilldown(
-                    table, rule, resolved_column, self.wf, k, self.mw,
-                    measure=self.measure, context=context
-                )
-
-            return self._run_approx(node, rule, k, "star", target, cache_key, tag, mine)
-        io_before = self._disk.io_stats.simulated_seconds if self._disk else 0.0
-        start = time.perf_counter()
-        mined, scale, method, sample_size = self._acquire(rule)
-        resolved_column = (
-            mined.schema.index_of(column) if isinstance(column, str) else column
-        )
-        cache_key = ("star", rule, resolved_column)
-        tag = drilldown_tag(
-            "star", rule, resolved_column,
-            measure=self.measure, wf=self.wf, mw=self.mw,
-        )
-        result = star_drilldown(
-            mined, rule, resolved_column, self.wf, k, self.mw, measure=self.measure,
-            context=self._lease_context(cache_key, tag), first_pick=self._marginals,
-        )
-        self._retain_context(cache_key, tag, result.context)
-        children = self._attach(node, result.rule_list.entries, scale, "star")
-        wall = time.perf_counter() - start
-        self._record(rule, "star", k, wall, method, sample_size, scale, io_before)
-        self._prefetch(node)
-        return children
+        return self._expand("star", rule, column, k, approx, error_target)
 
     def expand_traditional(
         self,
@@ -721,31 +524,131 @@ class DrillDownSession:
         error_target: float | None = None,
     ) -> list[SessionNode]:
         """Classic OLAP drill-down on one column (Figure 4)."""
+        return self._expand("traditional", rule, column, k, approx, error_target)
+
+    def _expand(
+        self,
+        kind: str,
+        rule: Rule,
+        column: int | str | None,
+        k: Any,
+        approx: Any,
+        error_target: Any,
+    ) -> list[SessionNode]:
+        """The one expansion pipeline behind the three verbs.
+
+        Everything is validated before any table work — the node is
+        displayed and not yet expanded, ``k``, the approx knobs, a
+        column name — so a rejected call costs nothing (the serving
+        tier refunds its budget charge on that promise).
+
+        Exact mining runs on :meth:`_acquire`'s table with the
+        first-pick marginal cache.  Approximate mining runs on the best
+        stored sample, stamps per-child :class:`CountEstimate` metadata,
+        and escalates the whole expansion to exact mining when any
+        child's interval half-width crosses the greedy decision
+        boundary (``target × max(estimate, 1)``) — so a tight
+        ``error_target`` provably returns the exact rule list.
+        Escalation passes no first-pick cache.  A traditional
+        drill-down without ``k`` lists every value.
+        """
         self._begin_op()
-        node = self._expandable_node(rule)
+        node = self.node(rule)
+        if node.children:
+            raise SessionError(f"rule {rule} is already expanded; collapse it first")
         if k is not None:
             k = _validated_k(k)
-        use_approx, target = self._resolve_approx(approx, error_target)
-        if use_approx:
-            def mine(table: Table, context: Any):
-                # Traditional drill-down has no incremental context;
-                # the lease/retain around it degrades to a no-op.
-                return traditional_drilldown(
-                    table, rule, column, measure=self.measure, k=k
-                )
-
-            return self._run_approx(
-                node, rule, k, "traditional", target,
-                ("traditional", rule, column), None, mine,
+        elif kind != "traditional":
+            k = self.k
+        target = (
+            self.error_target if error_target is None else _validated_error_target(error_target)
+        )
+        use_approx = self.default_approx if approx is None else bool(approx)
+        if use_approx and self._samples is None:
+            raise SessionError(
+                "approximate expansion requires pre-built samples "
+                "(register the table with a sample_budget, or pass samples=)"
             )
+        if isinstance(column, str):
+            source = self._table if self._table is not None else self._disk
+            column = source.schema.index_of(column)
+        cache_key = (kind, rule, column)
+        if kind == "traditional":
+            # No incremental context: lease/retain degrade to no-ops.
+            tag = None
+
+            def mine(table: Table, context: Any, first_pick: Any = None):
+                return traditional_drilldown(table, rule, column, measure=self.measure, k=k)
+        else:
+            tag = drilldown_tag(kind, rule, column, measure=self.measure, wf=self.wf, mw=self.mw)
+            if kind == "rule":
+                def mine(table: Table, context: Any, first_pick: Any = None):
+                    return rule_drilldown(
+                        table, rule, self.wf, k, self.mw, measure=self.measure,
+                        context=context, first_pick=first_pick,
+                    )
+            else:
+                def mine(table: Table, context: Any, first_pick: Any = None):
+                    return star_drilldown(
+                        table, rule, column, self.wf, k, self.mw, measure=self.measure,
+                        context=context, first_pick=first_pick,
+                    )
+
         io_before = self._disk.io_stats.simulated_seconds if self._disk else 0.0
         start = time.perf_counter()
-        mined, scale, method, sample_size = self._acquire(rule)
-        result = traditional_drilldown(mined, rule, column, measure=self.measure, k=k)
-        children = self._attach(node, result.rule_list.entries, scale, "traditional")
+        if not use_approx:
+            mined, scale, method, sample_size = self._acquire(rule)
+            result = mine(mined, self._lease_context(cache_key, tag), first_pick=self._marginals)
+            self._retain_context(cache_key, tag, result.context)
+            children = self._attach(node, result.rule_list.entries, scale, kind)
+        else:
+            assert self._samples is not None and self._table is not None
+            sample = self._samples.sample_for(rule)
+            approx_key = (*cache_key, "approx", sample.filter_rule)
+            result = mine(sample.table, self._lease_context(approx_key, tag, source=sample.table))
+            self._retain_context(approx_key, tag, result.context, source=sample.table)
+            estimates = {
+                entry.rule: estimate_count(sample, entry.rule, confidence=self.approx_confidence)
+                for entry in result.rule_list.entries
+            }
+            escalated = any(
+                est.half_width > target * max(est.estimate, 1.0) for est in estimates.values()
+            )
+            if escalated:
+                result = mine(self._table, self._lease_context(cache_key, tag))
+                self._retain_context(cache_key, tag, result.context)
+                method, sample_size, scale = "approx-escalated", self._table.n_rows, 1.0
+            else:
+                method, sample_size, scale = "approx", sample.size, sample.scale
+            children = self._attach(node, result.rule_list.entries, scale, kind)
+            for child in children:
+                est = estimates[child.rule] if not escalated else CountEstimate(
+                    child.rule, child.count, child.count, child.count,
+                    self.approx_confidence, sample_size,
+                )
+                child.estimate = {
+                    "estimate": est.estimate,
+                    "low": est.low,
+                    "high": est.high,
+                    "confidence": est.confidence,
+                    "sample_size": est.sample_size,
+                    "scale": scale,
+                    "escalated": escalated,
+                    "exact": est.half_width == 0.0,
+                }
         wall = time.perf_counter() - start
-        self._record(
-            rule, "traditional", k or len(children), wall, method, sample_size, scale, io_before
+        io_now = self._disk.io_stats.simulated_seconds if self._disk else 0.0
+        self.history.append(
+            ExpansionRecord(
+                rule=rule,
+                kind=kind,
+                k=k if k is not None else len(children),
+                wall_seconds=wall,
+                simulated_io_seconds=io_now - io_before,
+                sample_method=method,
+                sample_size=sample_size,
+                scale=scale,
+            )
         )
         self._prefetch(node)
         return children

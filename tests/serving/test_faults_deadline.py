@@ -41,6 +41,7 @@ from repro.serving import (
     ShardRouter,
     ShardWatchdog,
 )
+from repro.serving.faults import OPS
 from repro.serving.scheduler import FairScheduler
 from repro.serving.shard import decode_error, encode_error
 
@@ -174,6 +175,22 @@ class TestChaosPolicy:
             ChaosRule(kind="wedge", times=0)
         with pytest.raises(ServingError):
             ChaosRule(kind="wedge", after=-1)
+
+    def test_op_must_name_a_pipe_op(self):
+        """A mistyped op used to be accepted and then never fire."""
+        with pytest.raises(ServingError, match="unknown chaos op"):
+            ChaosRule(kind="error", op="expnd")
+        for op in ("*", *OPS):
+            assert ChaosRule(kind="error", op=op).op == op
+
+    def test_router_refuses_a_mistyped_op_before_any_pipe_traffic(self):
+        with ShardRouter(1) as router:
+            shard = router._shards[0]
+            sent = shard._next_request
+            with pytest.raises(ServingError, match="unknown chaos op"):
+                router.inject_chaos(0, [{"kind": "crash", "op": "expnd"}])
+            assert shard._next_request == sent
+            assert router.tables() == ()
 
     def test_retry_after_survives_the_shard_wire(self):
         exc = decode_error(encode_error(DeadlineExceededError("late", retry_after=2.5)))
@@ -531,6 +548,20 @@ class TestRouterFaultDrills:
             with pytest.raises(ShardDownError):
                 router.expand(sid)  # may have been half-applied: surface it
             assert router.restarts == 1
+
+    def test_control_ops_are_exempt_from_the_default_deadline(self, retail):
+        """A ``"control"`` op (a warm-restoring registration) may run past
+        the tier's default deadline; a session op may not."""
+        with ShardRouter(1, default_deadline=0.2) as router:
+            router.inject_chaos(
+                0, [ChaosRule(kind="delay", op="register_table", seconds=0.5)]
+            )
+            router.register_table("retail", retail)
+            router.inject_chaos(
+                0, [ChaosRule(kind="delay", op="create_session", seconds=0.5)]
+            )
+            with pytest.raises(DeadlineExceededError):
+                router.create_session("retail", k=3, mw=3.0)
 
     def test_probe_recovers_a_crashed_shard_without_request_traffic(
         self, retail, tmp_path

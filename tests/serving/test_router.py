@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.rule import STAR, Rule
 from repro.errors import (
+    ReproError,
     ServingError,
     SessionError,
     ShardDownError,
@@ -27,7 +28,8 @@ from repro.errors import (
 )
 from repro.codec import decode_table, encode_table
 from repro.serving import DrillDownServer, ShardRouter
-from repro.serving.shard import decode_node, encode_node
+from repro.serving.faults import OPS
+from repro.serving.shard import _OWN_BODY_OPS, decode_node, encode_node
 from repro.session import DrillDownSession
 from repro.table import Schema, Table
 from repro.table.bucketize import Interval
@@ -222,6 +224,34 @@ class TestErrorPropagation:
                 with pytest.raises(ShardError, match="unknown shard op"):
                     shard.request(op, {})
             assert shard.request("tables", {}) == []
+
+
+    def test_every_verb_op_names_a_server_method(self):
+        """The shard answers an op of ``OPS`` with its own body or the
+        server method of the same name: the table and the facade agree."""
+        verbs = [op for op in OPS if op not in _OWN_BODY_OPS]
+        assert verbs and all(callable(getattr(DrillDownServer, op)) for op in verbs)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"default_approx": True},
+            {"default_error_target": 0.0},
+            {"marginal_mw": -1},
+            {"max_sessions": 0},
+            {"reaper_interval": -1},
+        ],
+        ids=lambda setting: next(iter(setting)),
+    )
+    def test_bad_setting_fails_start_up_with_the_servers_own_error(self, setting):
+        """A shard whose server constructor refuses a setting reports
+        that typed error, not a bare ``failed to start``."""
+        with pytest.raises(ReproError) as in_process:
+            DrillDownServer(**setting)
+        with pytest.raises(ReproError) as sharded:
+            ShardRouter(1, **setting)
+        assert type(sharded.value) is type(in_process.value)
+        assert str(sharded.value) == str(in_process.value)
 
 
 # -- lifecycle -------------------------------------------------------------------

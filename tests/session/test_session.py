@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import Rule, STAR, SizeWeight
-from repro.errors import SessionError
+from repro.errors import SchemaError, SessionError
 from repro.session import DrillDownSession
 from repro.storage import DiskTable
 
@@ -133,6 +133,25 @@ class TestSampledSession:
         assert children
         assert session.history[0].sample_method == "create"
         assert session.history[0].scale > 1.0
+
+    @pytest.mark.parametrize("verb", ["expand_star", "expand_traditional"])
+    def test_unknown_column_rejected_before_any_sample_is_read(self, disk, verb):
+        """A mistyped column name fails validation before the handler
+        reads or caches a sample: rejection costs no simulated I/O."""
+        session = DrillDownSession(
+            disk,
+            k=3,
+            mw=3.0,
+            memory_capacity=20_000,
+            min_sample_size=2_000,
+            rng=np.random.default_rng(0),
+        )
+        io_before = disk.io_stats.simulated_seconds
+        with pytest.raises(SchemaError):
+            getattr(session, verb)(session.root.rule, "no_such_column")
+        assert disk.io_stats.simulated_seconds == io_before
+        assert len(session.handler.samples) == 0
+        assert session.history == []
 
     def test_counts_scaled_to_population(self, disk):
         session = DrillDownSession(

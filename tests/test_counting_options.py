@@ -4,7 +4,11 @@ Counting runs in one place, in the caller's process, so no entry point
 takes a worker count, a pool, or a pool-scheduler tenant label any
 more.  One engine serves every search, so nothing takes an ``engine``
 selector, and the reference search takes no first-pick cache.  The
-level-2 pair cache is gone, and with it every knob that sized it.  Each case asserts the keyword is absent from the signature and
+level-2 pair cache is gone, and with it every knob that sized it.
+Settings that only ever took one value are module constants now
+(``MARGINAL_WEIGHTINGS``, ``VIRTUAL_NODES``, ``PROBE_TIMEOUT``,
+``RETRY_BACKOFF``, ``START_TIMEOUT``), and the router reads a pipe op's
+deadline class from ``OPS`` instead of a ``use_default`` flag.  Each case asserts the keyword is absent from the signature and
 that the callable swallows no unknown keywords either, so passing one
 is a ``TypeError`` rather than a silently ignored option.
 ``DrillDownSession`` keeps its own ``tenant``: that one is an opaque
@@ -29,6 +33,7 @@ from repro.core import (
 from repro.core.first_pick import build_first_pick_cache, extend_first_pick_cache
 from repro.serving import ContextStore, DrillDownServer, ShardRouter, TableCatalog
 from repro.serving.http import main as http_main
+from repro.serving.shard import ShardProcess
 from repro.session import DrillDownSession
 
 REMOVED = [
@@ -74,6 +79,15 @@ REMOVED = [
     (build_first_pick_cache, "pair_threshold"),
     (extend_first_pick_cache, "pair_limit"),
     (extend_first_pick_cache, "pair_threshold"),
+    (DrillDownServer, "marginal_weightings"),
+    (ShardRouter, "marginal_weightings"),
+    (TableCatalog, "marginal_weightings"),
+    (ShardRouter, "virtual_nodes"),
+    (ShardRouter, "retry_backoff"),
+    (ShardRouter, "probe_timeout"),
+    (ShardRouter, "start_timeout"),
+    (ShardProcess, "start_timeout"),
+    (ShardRouter._request, "use_default"),
 ]
 
 
