@@ -2,11 +2,10 @@
 
 Before versioned tables the only way to grow a registered table was
 ``unregister`` + ``register`` with a freshly built table — a cold
-rebuild of everything the catalog maintains per table: the
-registration-time first-pick marginal cache and the §4.3 sample set.
-``append_rows`` instead creates a new version whose level-1 marginals
-are delta-folded in O(appended rows) and whose sample set rebuilds
-lazily once.
+re-encode of every row and a rebuild of the §4.3 sample set.
+``append_rows`` instead extends the dictionary-encoded columns by the
+appended rows only, and the new version's sample set rebuilds lazily
+once.
 
 This benchmark drives both maintenance strategies over the same
 append schedule — a seeded categorical table growing by fixed batches
@@ -14,11 +13,7 @@ append schedule — a seeded categorical table growing by fixed batches
 
 Asserted (structurally — absolute numbers are machine-dependent):
 
-* after every batch both arms hold **bit-identical first-pick
-  vectors** (the incremental cache equals a cold build over the same
-  rows) and identical sample sets;
-* the incremental arm's marginals really took the delta path
-  (``marginals_delta`` covers every batch);
+* after every batch both arms hold identical sample sets;
 * mean incremental append latency beats the full re-register arm.
 
 A JSON perf record is written next to this file
@@ -54,24 +49,12 @@ SMOKE_BATCHES = 4
 N_COLUMNS = 5
 DOMAIN = 40
 SAMPLE_BUDGET = 256
-MW = 5.0
 SEED = 7
 
 
 def _make_rows(rng: np.random.Generator, n_rows: int) -> list:
     codes = rng.integers(DOMAIN, size=(n_rows, N_COLUMNS))
     return [tuple(f"v{c}" for c in row) for row in codes]
-
-
-def _first_pick_vectors(catalog: TableCatalog, name: str) -> tuple:
-    cache = catalog.marginals_for(name, "size", MW)
-    assert cache is not None, "the size-weighting first-pick cache must exist"
-    return tuple(
-        None
-        if entry is None
-        else (entry[1].tobytes(), entry[2].tobytes(), entry[3].tobytes())
-        for entry in cache.entries
-    )
 
 
 def _sample_key(catalog: TableCatalog, name: str) -> tuple:
@@ -87,11 +70,11 @@ def run_benchmark(base_rows: int, batch_rows: int, n_batches: int) -> dict:
     batches = [_make_rows(rng, batch_rows) for _ in range(n_batches)]
     base = Table.from_rows(schema, all_rows)
 
-    incremental = TableCatalog(sample_budget=SAMPLE_BUDGET, marginal_mw=MW)
-    full = TableCatalog(sample_budget=SAMPLE_BUDGET, marginal_mw=MW)
+    incremental = TableCatalog(sample_budget=SAMPLE_BUDGET)
+    full = TableCatalog(sample_budget=SAMPLE_BUDGET)
     incremental_latencies: list[float] = []
     full_latencies: list[float] = []
-    vectors_identical = samples_identical = True
+    samples_identical = True
     try:
         incremental.register("t", base)
         full.register("t", Table.from_rows(schema, all_rows))
@@ -108,10 +91,6 @@ def run_benchmark(base_rows: int, batch_rows: int, n_batches: int) -> dict:
             full.samples_for("t")
             full_latencies.append(time.perf_counter() - start)
 
-            vectors_identical = vectors_identical and (
-                _first_pick_vectors(incremental, "t")
-                == _first_pick_vectors(full, "t")
-            )
             samples_identical = samples_identical and (
                 _sample_key(incremental, "t") == _sample_key(full, "t")
             )
@@ -139,16 +118,12 @@ def run_benchmark(base_rows: int, batch_rows: int, n_batches: int) -> dict:
             "columns": N_COLUMNS,
             "domain": DOMAIN,
             "sample_budget": SAMPLE_BUDGET,
-            "marginal_mw": MW,
-            "weighting": "size",
         },
         "cpu_count": os.cpu_count() or 1,
         "incremental_append": _arm(incremental_latencies),
         "full_reregister": _arm(full_latencies),
         "speedup": round(mean_full / mean_inc, 3),
-        "marginals_delta": version_stats["marginals_delta"],
         "samples_lazy_rebuilt": version_stats["samples_lazy_rebuilt"],
-        "identical_first_pick_vectors": vectors_identical,
         "identical_sample_sets": samples_identical,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -159,16 +134,8 @@ def write_record(record: dict) -> None:
 
 
 def check_record(record: dict) -> None:
-    n_batches = record["workload"]["batches"]
-    assert record["identical_first_pick_vectors"], (
-        "incremental first-pick vectors diverged from the cold build"
-    )
     assert record["identical_sample_sets"], (
         "incrementally maintained sample sets diverged from the cold build"
-    )
-    assert record["marginals_delta"] == n_batches, (
-        f"only {record['marginals_delta']}/{n_batches} appends took the "
-        "marginal delta path"
     )
     mean_inc = record["incremental_append"]["mean_seconds"]
     mean_full = record["full_reregister"]["mean_seconds"]

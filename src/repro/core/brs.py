@@ -90,7 +90,6 @@ def brs_iter(
     prune: bool = True,
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
-    first_pick=None,
 ) -> Iterator[MarginalResult]:
     """Yield greedy picks one at a time (the Section 6.1 streaming mode).
 
@@ -109,13 +108,6 @@ def brs_iter(
     runs; it must have been built for the same table, weight function,
     and search parameters.  An incompatible context raises here, not
     at first iteration.
-
-    ``first_pick`` threads a registration-time level-1 marginal cache
-    (:class:`~repro.core.first_pick.FirstPickCache`) into a context
-    built here: the first pick becomes a heap-build over cached
-    marginals instead of a full scan.  Picks are provably identical
-    with or without it; a cache built for a different
-    ``(table, wf, mw)`` is ignored.
     """
     if context is not None:
         context.check_compatible(table, wf, mw, measures, max_rule_size, prune)
@@ -127,7 +119,6 @@ def brs_iter(
             measures=measures,
             max_rule_size=max_rule_size,
             prune=prune,
-            first_pick=first_pick,
         )
 
     def picks() -> Iterator[MarginalResult]:
@@ -158,7 +149,6 @@ def brs(
     prune: bool = True,
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
-    first_pick=None,
 ) -> BRSResult:
     """Greedily select up to ``k`` rules maximising ``Score`` (Problem 3).
 
@@ -182,9 +172,8 @@ def brs(
     initial_top:
         Optional seed for the per-tuple selected-weight state (see
         :func:`brs_iter`).
-    context, first_pick:
-        An existing search context to reuse, or a first-pick cache for
-        the context built here (see :func:`brs_iter`).
+    context:
+        An existing search context to reuse (see :func:`brs_iter`).
     """
     picks: list[MarginalResult] = []
     stats = SearchStats()
@@ -199,7 +188,6 @@ def brs(
         prune=prune,
         initial_top=initial_top,
         context=context,
-        first_pick=first_pick,
     ):
         picks.append(result)
         stats.merge(result.stats)
@@ -220,7 +208,6 @@ def brs_time_limited(
     prune: bool = True,
     initial_top: np.ndarray | None = None,
     context: SearchContext | None = None,
-    first_pick=None,
 ) -> BRSResult:
     """Keep adding rules until a wall-clock budget runs out (§6.1).
 
@@ -247,7 +234,6 @@ def brs_time_limited(
         prune=prune,
         initial_top=initial_top,
         context=context,
-        first_pick=first_pick,
     ):
         picks.append(result)
         stats.merge(result.stats)

@@ -156,7 +156,6 @@ def rule_drilldown(
     max_rule_size: int | None = None,
     prune: bool = True,
     context: SearchContext | None = None,
-    first_pick=None,
 ) -> DrillDownResult:
     """Expand ``parent`` into its best rule-list of ``k`` super-rules.
 
@@ -167,9 +166,7 @@ def rule_drilldown(
     Parameters mirror :func:`repro.core.brs.brs`; ``measure`` selects
     Sum aggregation over a numeric column instead of Count.  Passing
     the ``context`` from a previous identical call (any ``k``) skips
-    the sub-table filtering and reuses the cached candidate lattice;
-    ``first_pick`` feeds a fresh context (see
-    :func:`repro.core.brs.brs_iter`).
+    the sub-table filtering and reuses the cached candidate lattice.
     """
     if len(parent) != table.n_columns:
         raise RuleError("parent rule arity does not match the table")
@@ -187,7 +184,7 @@ def rule_drilldown(
         measures = tuple_measures(subtable, measure)
         context = SearchContext(
             subtable, lifted, mw, measures=measures,
-            max_rule_size=max_rule_size, prune=prune, first_pick=first_pick,
+            max_rule_size=max_rule_size, prune=prune,
         )
         context.source = table
         context.tag = tag
@@ -230,7 +227,6 @@ def star_drilldown(
     max_rule_size: int | None = None,
     prune: bool = True,
     context: SearchContext | None = None,
-    first_pick=None,
 ) -> DrillDownResult:
     """Expand the ``?`` in ``column`` of ``parent`` (Section 2.3).
 
@@ -263,7 +259,7 @@ def star_drilldown(
         measures = tuple_measures(subtable, measure)
         context = SearchContext(
             subtable, constrained, mw, measures=measures,
-            max_rule_size=max_rule_size, prune=prune, first_pick=first_pick,
+            max_rule_size=max_rule_size, prune=prune,
         )
         context.source = table
         context.tag = tag

@@ -1,10 +1,9 @@
-"""The counting primitive of the search engine and the first-pick cache.
+"""The counting primitive of the search engine.
 
 Interactive latency is dominated by the level-wise a-priori counting of
 a search: for every surviving parent, two ``np.bincount`` passes per
 extension column over the parent's covered rows.  This module holds the
-one primitive that does that counting (:func:`count_parent_extensions`)
-for the engine and the first-pick precompute.
+one primitive that does that counting (:func:`count_parent_extensions`).
 
 The counting primitive
 ----------------------
@@ -26,11 +25,6 @@ Clients
 
 * :class:`~repro.core.search_cache.SearchContext` counts its size-1
   build and every frontier expansion, one call per parent.
-* The serving catalog's first-pick marginal cache
-  (:mod:`repro.core.first_pick`) runs the level-1 pass once per
-  ``(table, weighting, mw)`` at registration and serves that output
-  read-only; shard workers rebuild the identical cache from their
-  wire-decoded table copies — same primitive, same arrays, bit for bit.
 
 Counting is never parallelised.  The paper's answer to a table too big
 to mine exactly is §4 sampling, which the serving tier offers as
@@ -92,13 +86,10 @@ def count_parent_extensions(
 ) -> list[_Counted]:
     """Count all value extensions of one parent on several columns.
 
-    The counting primitive shared by the engine and the first-pick
-    precompute — keeping it in one place is what makes them
-    bit-identical to one another (see the module docstring).  For the
-    parent covering ``rows`` (``None`` means the whole table) and each
-    column ``code_arrays[positions[i]]`` extended under the scalar
-    fast-path weight ``weights[i]``, two bincounts over the parent's
-    rows yield every value extension's
+    For the parent covering ``rows`` (``None`` means the whole table)
+    and each column ``code_arrays[positions[i]]`` extended under the
+    scalar fast-path weight ``weights[i]``, two bincounts over the
+    parent's rows yield every value extension's
 
         Count(v)        = Σ_{t ∈ parent, t.c = v} m(t)
         MarginalVal(v)  = Σ_{t ∈ parent, t.c = v} m(t) · max(W − top(t), 0)

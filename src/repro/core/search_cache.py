@@ -190,7 +190,6 @@ class SearchContext:
         measures: np.ndarray | None = None,
         max_rule_size: int | None = None,
         prune: bool = True,
-        first_pick: Any = None,
     ):
         self.table = table
         self.wf = wf
@@ -219,23 +218,6 @@ class SearchContext:
         self.max_rule_size = limit if max_rule_size is None else min(max_rule_size, limit)
         self._requested_max_rule_size = max_rule_size
         self.fast_weight = wf.column_set_weight()
-        # Registration-time level-1 marginal cache (repro.core.first_pick):
-        # valid only for a Count search over exactly this (table, wf, mw).
-        # The remaining condition — top elementwise equal to the base
-        # vector (all zeros) — is per-search, checked in find_best.
-        usable = (
-            first_pick is not None
-            and self.fast_weight is not None
-            and first_pick.matches(table, wf, self.mw)
-            # Cache arrays were built with all-ones measures (Count);
-            # an explicit all-ones array (tuple_measures with no
-            # measure column) feeds the kernel identical inputs.
-            and self._count_measures is None
-        )
-        self.first_pick = first_pick if usable else None
-        if first_pick is not None and not usable:
-            first_pick.misses += 1
-        self._top_is_base = False
         self._row_dtype = np.int32 if n < 2**31 else np.int64
         self._cands: dict[_Key, _Candidate] = {}
         # Value heap: (-marginal, size, key); expansion heap: (-bound, size, key).
@@ -329,8 +311,6 @@ class SearchContext:
         new._requested_max_rule_size = self._requested_max_rule_size
         new.fast_weight = self.fast_weight
         new._row_dtype = self._row_dtype
-        new.first_pick = self.first_pick
-        new._top_is_base = False
         # Mutable per-candidate state: copied (row arrays shared — they
         # are only ever replaced, never mutated in place).
         new._cands = {key: replace(cand) for key, cand in self._cands.items()}
@@ -445,8 +425,7 @@ class SearchContext:
         Children keep a borrowed reference to the parent's rows instead
         of materialising their own (see :meth:`_rows`).  On the fast
         path the parent's per-column tasks are counted by one
-        :func:`~repro.core.parallel.count_parent_extensions` call, the
-        primitive the first-pick precompute shares.
+        :func:`~repro.core.parallel.count_parent_extensions` call.
         """
         if self.fast_weight is None:
             for pos in positions:
@@ -505,19 +484,7 @@ class SearchContext:
     def _build(self, stats: SearchStats) -> None:
         """Generate the size-1 level (the only full-table passes ever made)."""
         all_rows = np.arange(self.table.n_rows, dtype=self._row_dtype)
-        if self.first_pick is not None and self._top_is_base:
-            # Heap-build over the registration-time level-1 cache: the
-            # arrays are the counting primitive's own output at this
-            # exact (table, weight, base top), so _insert_children sees
-            # bit-identical inputs to a cold scan — no rows are touched.
-            self.first_pick.hits += 1
-            for pos in self._free:
-                weight, supported, counts, marginals = self.first_pick.level1(pos)
-                self._insert_children((), all_rows, pos, weight, supported, counts, marginals, stats)
-        else:
-            if self.first_pick is not None:
-                self.first_pick.misses += 1
-            self._generate((), all_rows, self._free, stats)
+        self._generate((), all_rows, self._free, stats)
         stats.passes += 1
         self._built = True
 
@@ -670,10 +637,6 @@ class SearchContext:
         )
         self._top = top
         self._last_top = top
-        # The first-pick cache serves only while top is still the base
-        # vector (all zeros): cached marginals are the kernel's output
-        # at exactly that top.
-        self._top_is_base = self.first_pick is not None and not top.any()
         self._epoch += 1
         self._refreshed = 0
         self._generated_this_epoch = 0

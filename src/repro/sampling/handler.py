@@ -160,6 +160,10 @@ class SampleHandler:
 
     def _shrink(self, sample: Sample) -> None:
         overshoot = self.memory_used() - self.memory_capacity
+        if self.budget_unit == "cells":
+            # The overshoot is in cells; drop the fewest tuples that free it.
+            per_tuple = max(sample.memory_cells() // sample.size, 1)
+            overshoot = -(-overshoot // per_tuple)
         keep = max(sample.size - overshoot, self.min_sample_size)
         if keep >= sample.size:
             raise SamplingError("memory budget too small for the protected samples")

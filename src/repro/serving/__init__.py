@@ -6,9 +6,8 @@ sessions mine one immutable table; this package is the tier that
 multiplexes *tenants* on top of it:
 
 * :class:`TableCatalog` — register tables as versioned records
-  (:class:`TableVersion`), grow level-1 marginal caches incrementally
-  under ``append_rows``, and reap superseded versions when their last
-  pinned session closes;
+  (:class:`TableVersion`), grow them under ``append_rows``, and reap
+  superseded versions when their last pinned session closes;
 * :class:`SessionRegistry` — create/lookup/expire
   :class:`~repro.session.DrillDownSession`\\ s per tenant (TTL + LRU,
   eviction-safe ``close()``);

@@ -10,14 +10,10 @@ mutating API), which is what makes one table safe to serve to everyone.
 versioning): :meth:`register` creates version 1 and
 :meth:`append_rows` / :meth:`replace_table` create versions 2, 3, ….
 An append extends the dictionary-encoded code arrays under the
-prefix-preserving invariant (:meth:`repro.table.table.Table.append_rows`),
-so the catalog can maintain the expensive per-table structures
-incrementally instead of rebuilding them cold: the in-memory first-pick
-marginal vectors get delta bincounts over only the appended rows
-(:func:`~repro.core.first_pick.extend_first_pick_cache`, bit-identical
-to a cold rebuild), and the deterministic sample set — whose delta
-cannot be maintained without perturbing seeded draws — is rebuilt
-*lazily* on next access.  The sample set is the one artifact the
+prefix-preserving invariant (:meth:`repro.table.table.Table.append_rows`);
+the deterministic sample set — whose delta cannot be maintained without
+perturbing seeded draws — is rebuilt *lazily* on next access.  The
+sample set is the one artifact the
 catalog persists (``sample_dir``); its file carries the table's content
 fingerprint, so a stale file is rebuilt, never served.  Sessions pin
 the version they started on (they hold the ``Table`` object; nothing
@@ -36,11 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.core.first_pick import (
-    FirstPickCache,
-    build_first_pick_cache,
-    extend_first_pick_cache,
-)
 from repro.core.weights import (
     BitsWeight,
     SizeMinusOneWeight,
@@ -62,18 +53,13 @@ __all__ = ["TableCatalog", "TableVersion", "WEIGHT_FUNCTIONS"]
 #: Weight functions creatable by name over the wire.  Factories take
 #: the served table — Bits weighting derives per-column bit counts
 #: from the table's dictionary sizes (§2.2).  Lives on the catalog so
-#: registration-time precompute (first-pick marginals) resolves the
-#: *same* instances tenant sessions later key contexts on;
-#: :mod:`repro.serving.server` re-exports it for compatibility.
+#: every tenant session resolves the *same* instances to key contexts
+#: on; :mod:`repro.serving.server` re-exports it for compatibility.
 WEIGHT_FUNCTIONS: dict[str, Callable[[Table], WeightFunction]] = {
     "size": lambda table: SizeWeight(),
     "bits": BitsWeight.for_table,
     "size_minus_one": lambda table: SizeMinusOneWeight(),
 }
-
-#: Weightings the first-pick marginal caches are precomputed for; each
-#: costs one level-1 pass over the table at registration.
-MARGINAL_WEIGHTINGS = ("size",)
 
 _SAMPLE_FILE_SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -129,17 +115,6 @@ class TableCatalog:
         whose table content fingerprint, budget and seed all match,
         instead of re-scanning and re-drawing; anything else is rebuilt
         and re-persisted.  Temp-file litter is swept at construction.
-    marginal_mw:
-        When set, :meth:`register` also precomputes the shared
-        first-pick marginal cache
-        (:class:`~repro.core.first_pick.FirstPickCache`) for each
-        :data:`MARGINAL_WEIGHTINGS` entry at this ``mw`` — the level-1
-        count/marginal vectors every cold session's first pick scans
-        for.  Sessions whose ``(table, weighting, mw)`` matches get the
-        cache read-only via :meth:`marginals_for`; everything else
-        falls back to the normal scan.  ``None`` (default) disables
-        the cache.  The caches live in memory only: a rebuild is
-        cheaper than fingerprinting a persisted copy.
     """
 
     def __init__(
@@ -148,7 +123,6 @@ class TableCatalog:
         sample_budget: int | None = None,
         sample_seed: int = 0,
         sample_dir: str | os.PathLike | None = None,
-        marginal_mw: float | None = None,
     ):
         if sample_budget is not None and sample_budget <= 0:
             raise ServingError("sample_budget must be a positive tuple count")
@@ -160,16 +134,10 @@ class TableCatalog:
         self._samples: dict[str, TableSampleSet] = {}
         self._samples_built = 0
         self._samples_loaded = 0
-        if marginal_mw is not None and not float(marginal_mw) > 0:
-            raise ServingError("marginal_mw must be > 0 (or None to disable)")
-        self._marginal_mw = None if marginal_mw is None else float(marginal_mw)
-        self._marginals: dict[str, dict[str, FirstPickCache]] = {}
-        self._marginals_built = 0
         # Weight-instance registry: one shared instance per (name,
-        # table), so registration-time caches and tenant contexts key
-        # on the same object.  Entries keep a strong table reference —
-        # id() keys alone could be recycled by a new table allocated at
-        # a dead table's address.
+        # table), so every tenant's contexts key on the same object.
+        # Entries keep a strong table reference — id() keys alone could
+        # be recycled by a new table allocated at a dead table's address.
         self._weights: dict[tuple[str, int], tuple[Table, WeightFunction]] = {}
         self._weights_lock = threading.Lock()
         self.cleaned_tmp = sweep_tmp(self._sample_dir)
@@ -185,12 +153,11 @@ class TableCatalog:
         self._versions_reaped = 0
         self._appends = 0
         self._rows_appended = 0
-        self._marginals_delta = 0
         self._samples_lazy_rebuilt = 0
         self._artifacts_purged = 0
-        # Serialises version transitions (append/replace/unregister):
-        # incremental maintenance reads the old version's structures and
-        # must not race another writer's install.
+        # Serialises version transitions (register/append/replace/
+        # unregister): a writer reads the latest version and must not
+        # race another writer's install.
         self._version_lock = threading.Lock()
         #: Fired (outside catalog locks) with ``(name, table)`` after a
         #: version is reaped — the serving facade's hook for dropping
@@ -243,25 +210,17 @@ class TableCatalog:
                 samples = self._build_or_load_samples(name, table)
                 with self._lock:
                     self._samples[name] = samples
-            if self._marginal_mw is not None:
-                marginals = self._build_marginals(name, table, None)
-                with self._lock:
-                    self._marginals[name] = marginals
             return table
 
     def append_rows(self, name: str, rows: Sequence[Sequence[Any]]) -> TableVersion:
         """Append ``rows`` to ``name`` as a new table version.
 
-        The incremental-maintenance path: the new version's table
-        extends the old one under the dictionary-prefix invariant, the
-        first-pick marginal vectors get delta bincounts
-        over only the appended rows (bit-identical to a cold rebuild;
-        any cache whose delta cannot be maintained — e.g. a ``bits``
-        weighting over a dictionary that grew — is rebuilt cold), and
-        the deterministic sample set is marked stale for lazy rebuild
-        (its persisted file is rewritten then).  Sessions already
-        open keep mining the old version untouched; the returned record
-        is what new sessions will pin.
+        The new version's table extends the old one under the
+        dictionary-prefix invariant, and the deterministic sample set
+        is marked stale for lazy rebuild (its persisted file is
+        rewritten then).  Sessions already open keep mining the old
+        version untouched; the returned record is what new sessions
+        will pin.
         """
         rows = [tuple(row) for row in rows]
         if not rows:
@@ -274,7 +233,7 @@ class TableCatalog:
                 if old is None:
                     raise UnknownTableError(f"no table registered as {name!r}")
             new_table = old.append_rows(rows)
-            record = self._install_version(name, new_table, old, appended=len(rows))
+            record = self._install_version(name, new_table, appended=len(rows))
             self._appends += 1
             self._rows_appended += len(rows)
             return record
@@ -282,9 +241,9 @@ class TableCatalog:
     def replace_table(self, name: str, table: Table) -> TableVersion:
         """Swap ``name``'s data wholesale as a new table version.
 
-        No append relation is assumed, so the marginal caches are
-        rebuilt cold and the deterministic sample set is marked for
-        lazy rebuild.  Pinned sessions keep the version they started
+        The deterministic sample set is marked for lazy rebuild.  The
+        already-registered object is a no-op returning the latest
+        version's record.  Pinned sessions keep the version they started
         on, exactly as for :meth:`append_rows`.
         """
         with self._version_lock:
@@ -297,16 +256,11 @@ class TableCatalog:
                 if old is table:
                     latest = self._records[(name, self._latest[name])]
                     return latest
-            return self._install_version(name, table, None, appended=0)
+            return self._install_version(name, table, appended=0)
 
-    def _install_version(
-        self, name: str, table: Table, old: Table | None, *, appended: int
-    ) -> TableVersion:
+    def _install_version(self, name: str, table: Table, *, appended: int) -> TableVersion:
         """Install ``table`` as ``name``'s next version (under
-        ``_version_lock``).  ``old`` non-``None`` marks the append
-        relation and enables every incremental path."""
-        if self._marginal_mw is not None:
-            marginals = self._build_marginals(name, table, old)
+        ``_version_lock``)."""
         with self._lock:
             if self._sample_budget is not None:
                 self._stale_samples.add(name)
@@ -317,39 +271,10 @@ class TableCatalog:
             self._latest[name] = version
             self._records[(name, version)] = record
             self._versions_created += 1
-            if self._marginal_mw is not None:
-                self._marginals[name] = marginals
             previous = self._records.get((name, previous_v))
         if previous is not None and previous.pins == 0:
             self._reap(name, previous)
         return record
-
-    def _build_marginals(
-        self, name: str, table: Table, old: Table | None
-    ) -> dict[str, FirstPickCache]:
-        """One first-pick cache per configured weighting: delta-extended
-        from the old version's where ``old`` marks the append relation
-        and per-position weights are unchanged, built cold otherwise.
-        Tables without categorical columns get no cache."""
-        assert self._marginal_mw is not None
-        with self._lock:
-            old_marginals = dict(self._marginals.get(name, {}))
-        caches: dict[str, FirstPickCache] = {}
-        for weighting in MARGINAL_WEIGHTINGS:
-            wf = self.weight(weighting, table)
-            cache = None
-            old_cache = old_marginals.get(weighting) if old is not None else None
-            if old_cache is not None and old_cache.table is old:
-                cache = extend_first_pick_cache(old_cache, table, wf)
-                if cache is not None:
-                    self._marginals_delta += 1
-            if cache is None:
-                cache = build_first_pick_cache(table, wf, self._marginal_mw)
-                if cache is None:  # no categorical columns: nothing to serve
-                    continue
-                self._marginals_built += 1
-            caches[weighting] = cache
-        return caches
 
     def _sample_path(self, name: str) -> Path | None:
         """Persistence path for ``name``'s samples (``None`` = memory only).
@@ -384,60 +309,22 @@ class TableCatalog:
                 pass  # samples are rebuildable; persistence is an optimisation
         return samples
 
-    def marginals_for(
-        self,
-        name: str,
-        wf: str | WeightFunction = "size",
-        mw: float | None = None,
-    ) -> FirstPickCache | None:
-        """The first-pick cache valid for ``(name, wf, mw)``, or ``None``.
-
-        ``wf`` may be a weighting name or a resolved instance; ``mw``
-        of ``None`` skips the mw check (callers that will let the
-        search validate).  Strict keying: any mismatch returns ``None``
-        — the session then simply runs the cold scan.
-        """
-        with self._lock:
-            per_table = self._marginals.get(name)
-        if not per_table:
-            return None
-        if isinstance(wf, str):
-            cache = per_table.get(wf)
-        else:
-            cache = next((c for c in per_table.values() if c.wf is wf), None)
-        if cache is None:
-            return None
-        if mw is not None and float(mw) != cache.mw:
-            return None
-        return cache
-
     def marginal_stats(self) -> dict:
-        """First-pick cache counters + per-cache summaries for ``/stats``."""
-        with self._lock:
-            tables = {
-                name: {w: cache.describe() for w, cache in sorted(per.items())}
-                for name, per in sorted(self._marginals.items())
-            }
-        return {
-            "mw": self._marginal_mw,
-            "weightings": list(MARGINAL_WEIGHTINGS),
-            "built": self._marginals_built,
-            "tables": tables,
-        }
+        """Kept for benchmarks/e2e (its metrics read these keys); there is
+        no first-pick cache, so nothing is built and no table is listed."""
+        return {"built": 0, "tables": {}}
 
     # -- weight registry ---------------------------------------------------------
 
     def weight(self, spec: str | WeightFunction, table: Table) -> WeightFunction:
         """Resolve a weighting name to this catalog's shared instance.
 
-        Sharing instances is load-bearing twice over: the
+        Sharing instances is load-bearing: the
         :class:`~repro.serving.ContextStore` keys weight functions by
-        identity, and the first-pick marginal caches are valid only for
-        the exact instance they were built with — so ``"size"`` must
-        mean the *same* ``SizeWeight`` object for every tenant on a
-        table.  Instances are cached per ``(name, table)`` — Bits
-        weighting is genuinely table-derived, and neither consumer
-        shares across tables anyway.  A :class:`WeightFunction`
+        identity, so ``"size"`` must mean the *same* ``SizeWeight``
+        object for every tenant on a table.  Instances are cached per
+        ``(name, table)`` — Bits weighting is genuinely table-derived,
+        and the store never shares across tables anyway.  A :class:`WeightFunction`
         instance passes through unchanged (shared only if the caller
         reuses it).
         """
@@ -602,12 +489,12 @@ class TableCatalog:
                 "reaped": self._versions_reaped,
                 "appends": self._appends,
                 "rows_appended": self._rows_appended,
-                "marginals_delta": self._marginals_delta,
                 "samples_lazy_rebuilt": self._samples_lazy_rebuilt,
                 "artifacts_purged": self._artifacts_purged,
-                # Kept for benchmarks/e2e (its metrics read it); always 0,
-                # since nothing is exported.
+                # Kept for benchmarks/e2e (its metrics read them); always
+                # 0, since nothing is exported or delta-folded.
                 "exports_grown": 0,
+                "marginals_delta": 0,
                 "tables": tables,
             }
 
@@ -625,7 +512,6 @@ class TableCatalog:
             with self._lock:
                 self._tables.pop(name, None)
                 self._samples.pop(name, None)
-                self._marginals.pop(name, None)
                 self._stale_samples.discard(name)
                 self._latest.pop(name, None)
                 dead = [
@@ -679,7 +565,6 @@ class TableCatalog:
             self._closed = True
             self._tables.clear()
             self._samples.clear()
-            self._marginals.clear()
             self._latest.clear()
             self._records.clear()
             self._stale_samples.clear()

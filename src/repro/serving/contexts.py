@@ -17,7 +17,7 @@ second tenant skip that work:
   **lease**; on a hit it receives a *fresh clone* of the prototype —
   copy-on-first-expand, so the tenant owns its copy outright and
   concurrent searches can never corrupt each other — with ``_built``
-  state, skipping the full-table first-pick passes.
+  state, skipping the full-table size-1 passes.
 
 Keys are ``(table identity, drill-down tag)`` where the tag comes from
 :func:`repro.core.drilldown.drilldown_tag`; the weight function

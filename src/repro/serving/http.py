@@ -540,14 +540,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--breaker-cooldown", type=float, default=1.0,
                         help="with --shards: seconds an open circuit waits "
                              "before probing the shard again (default 1)")
-    parser.add_argument("--no-marginal-cache", action="store_true",
-                        help="skip the registration-time first-pick "
-                             "marginal precompute (first expansions fall "
-                             "back to the full level-1 scan)")
-    parser.add_argument("--marginal-mw", type=float, default=5.0,
-                        help="minimum weight the first-pick marginals are "
-                             "built at; sessions with a different mw miss "
-                             "the cache (default 5)")
     parser.add_argument("--verbose", action="store_true", help="log requests")
     args = parser.parse_args(argv)
 
@@ -565,8 +557,6 @@ def main(argv: list[str] | None = None) -> None:
         sample_seed=args.sample_seed,
         default_approx=args.default_approx,
         default_error_target=args.error_target,
-        marginal_cache=not args.no_marginal_cache,
-        marginal_mw=args.marginal_mw,
     )
     if args.shards and args.shards > 0:
         tier: DrillDownServer | ShardRouter = ShardRouter(

@@ -10,7 +10,7 @@ session state beyond two maps — which is the point:
 
 * **Table placement** is consistent hashing over the table *name*
   (sha1-based, stable across restarts and router instances), so a
-  table's catalog entry, marginal caches, context prototypes, and every
+  table's catalog entry, samples, context prototypes, and every
   session over it live together on one shard, and re-registering after
   any restart lands on the same shard — which is what lines warm
   restore up with each shard's own ``persist_dir`` subdirectory.
@@ -160,8 +160,6 @@ class ShardRouter:
         sample_seed: int = 0,
         default_approx: bool = False,
         default_error_target: float = 0.1,
-        marginal_cache: bool = True,
-        marginal_mw: float = 5.0,
         persist_dir: str | os.PathLike | None = None,
         persist_max_bytes: int | None = None,
         checkpoint_interval: float | None = None,
@@ -211,8 +209,6 @@ class ShardRouter:
             sample_seed=sample_seed,
             default_approx=default_approx,
             default_error_target=default_error_target,
-            marginal_cache=marginal_cache,
-            marginal_mw=marginal_mw,
             persist_max_bytes=persist_max_bytes,
             checkpoint_interval=checkpoint_interval,
             reaper_interval=reaper_interval,
@@ -708,7 +704,15 @@ class ShardRouter:
         with self._lock:
             if self._closed:
                 raise ServingError("router is closed")
-        return self._send_table("replace_table", name, table)
+            same = self._tables.get(name) is table
+        if not same:
+            return self._send_table("replace_table", name, table)
+        # The registered object is a no-op, as in the catalog: the shard
+        # would decode a new object and mint a version, so read the
+        # latest version's record back instead.
+        stats = self._request(self._shard(self._placement(name)), "stats", {})
+        entry = stats["versions"]["tables"][name]
+        return next(v for v in entry["versions"] if v["version"] == entry["latest"])
 
     def unregister_table(self, name: str) -> None:
         with self._lock:

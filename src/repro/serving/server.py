@@ -3,7 +3,7 @@
 :class:`DrillDownServer` composes the serving subsystem —
 
 * a :class:`~repro.serving.TableCatalog` (versioned tables registered
-  once, with their samples and first-pick marginal caches),
+  once, with their samples),
 * a :class:`~repro.serving.SessionRegistry` (TTL + LRU session
   lifecycle per tenant),
 * a :class:`~repro.serving.ContextStore` (cross-session reuse of
@@ -62,8 +62,7 @@ from repro.session.session import DrillDownSession, SessionNode
 from repro.table.table import Table
 
 #: Re-exported from :mod:`repro.serving.catalog`, where the weight
-#: registry now lives (registration-time marginal precompute must
-#: resolve the same shared instances tenant sessions key contexts on).
+#: registry lives.
 __all__ = ["DrillDownServer", "WEIGHT_FUNCTIONS"]
 
 
@@ -182,8 +181,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         sample_seed: int = 0,
         default_approx: bool = False,
         default_error_target: float = 0.1,
-        marginal_cache: bool = True,
-        marginal_mw: float = 5.0,
     ):
         if default_approx and sample_budget is None:
             raise ServingError(
@@ -202,7 +199,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
             sample_budget=sample_budget,
             sample_seed=sample_seed,
             sample_dir=sample_dir,
-            marginal_mw=float(marginal_mw) if marginal_cache else None,
         )
         self.registry = SessionRegistry(
             max_sessions=max_sessions,
@@ -292,10 +288,8 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
 
         Live sessions keep the version they were created on — their
         trees, contexts, and estimates stay bit-identical — while
-        sessions created after this call mine the grown table.  The
-        expensive per-table structures are maintained incrementally
-        (delta first-pick bincounts; see :meth:`TableCatalog.append_rows`).
-        Returns the new version's summary (``version``, ``rows``,
+        sessions created after this call mine the grown table (see
+        :meth:`TableCatalog.append_rows`).  Returns the new version's summary (``version``, ``rows``,
         ``appended``).
         """
         if self._closed:
@@ -306,8 +300,9 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         """Swap a served table's data wholesale as a new catalog version.
 
         The explicit alternative to the (refused) re-register of a name
-        with different data; pinned sessions are unaffected, per-table
-        structures rebuild cold.  Returns the new version's summary.
+        with different data; pinned sessions are unaffected.  Returns
+        the new version's summary (the latest one, unchanged, when
+        ``table`` is the object already registered).
         """
         if self._closed:
             raise ServingError("server is closed")
@@ -377,11 +372,9 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
     def weight(self, spec: str | WeightFunction, table: Table) -> WeightFunction:
         """Resolve a weighting name to the catalog's shared instance.
 
-        Delegates to :meth:`TableCatalog.weight` — the registry lives
-        there so registration-time marginal precompute and tenant
-        sessions resolve the *same* instances (the identity both the
-        :class:`~repro.serving.ContextStore` and the first-pick caches
-        key on).
+        Delegates to :meth:`TableCatalog.weight`, so every tenant
+        session resolves the *same* instances (the identity the
+        :class:`~repro.serving.ContextStore` keys on).
         """
         return self.catalog.weight(spec, table)
 
@@ -400,8 +393,7 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
     ) -> str:
         """Open a drill-down session for ``tenant`` over a catalog table.
 
-        The session borrows the catalog's samples and first-pick cache
-        and, when enabled, the shared context store.  Returns the
+        The session borrows the catalog's samples and, when enabled, the shared context store.  Returns the
         session id clients address every later call with.
         """
         if self._closed:
@@ -440,7 +432,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         shared structures: the one construction site, so a restored
         session (``state=``, a snapshot) cannot be configured differently
         from a fresh one (``k``/``mw``/``measure`` in ``config``)."""
-        mw = config["mw"] if state is None else state.get("mw")
         shared = dict(
             wf=self.weight(wf, source),
             tenant=tenant,
@@ -448,7 +439,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
             samples=self.catalog.samples_for(name),
             default_approx=self.default_approx,
             error_target=self.default_error_target,
-            marginals=self.catalog.marginals_for(name, wf, mw),
         )
         if state is None:
             return DrillDownSession(source, **shared, **config)

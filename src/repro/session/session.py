@@ -223,7 +223,7 @@ class DrillDownSession:
         Optional cross-session :class:`~repro.serving.ContextStore`.
         In-memory sessions then lease cached candidate lattices built
         by other sessions with an identical (table, weighting, ``mw``,
-        measure) configuration — skipping the full-table first-pick
+        measure) configuration — skipping the full-table size-1
         passes — and publish their own fresh contexts back.  Leases
         are private clones; results are identical with or without a
         store.
@@ -272,7 +272,6 @@ class DrillDownSession:
         context_store: Any = None,
         tenant: Any = None,
         samples: Any = None,
-        marginals: Any = None,
         default_approx: bool = False,
         error_target: float = 0.1,
         approx_confidence: float = 0.95,
@@ -292,11 +291,6 @@ class DrillDownSession:
         if default_approx and samples is None:
             raise SessionError("default_approx=True requires pre-built samples=")
         self._samples = samples
-        # Registration-time first-pick marginal cache (read-only,
-        # shared across sessions).  Only in-memory sessions can use it:
-        # a DiskTable session mines on dynamic sample tables, which the
-        # cache's identity keying would never match anyway.
-        self._marginals = None if isinstance(source, DiskTable) else marginals
         self.default_approx = bool(default_approx)
         self.error_target = _validated_error_target(error_target)
         if not 0.0 < float(approx_confidence) < 1.0:
@@ -542,15 +536,14 @@ class DrillDownSession:
         column name — so a rejected call costs nothing (the serving
         tier refunds its budget charge on that promise).
 
-        Exact mining runs on :meth:`_acquire`'s table with the
-        first-pick marginal cache.  Approximate mining runs on the best
-        stored sample, stamps per-child :class:`CountEstimate` metadata,
-        and escalates the whole expansion to exact mining when any
-        child's interval half-width crosses the greedy decision
-        boundary (``target × max(estimate, 1)``) — so a tight
-        ``error_target`` provably returns the exact rule list.
-        Escalation passes no first-pick cache.  A traditional
-        drill-down without ``k`` lists every value.
+        Exact mining runs on :meth:`_acquire`'s table.  Approximate
+        mining runs on the best stored sample, stamps per-child
+        :class:`CountEstimate` metadata, and escalates the whole
+        expansion to exact mining when any child's interval half-width
+        crosses the greedy decision boundary (``target × max(estimate,
+        1)``) — so a tight ``error_target`` provably returns the exact
+        rule list.  A traditional drill-down without ``k`` lists every
+        value.
         """
         self._begin_op()
         node = self.node(rule)
@@ -577,28 +570,28 @@ class DrillDownSession:
             # No incremental context: lease/retain degrade to no-ops.
             tag = None
 
-            def mine(table: Table, context: Any, first_pick: Any = None):
+            def mine(table: Table, context: Any):
                 return traditional_drilldown(table, rule, column, measure=self.measure, k=k)
         else:
             tag = drilldown_tag(kind, rule, column, measure=self.measure, wf=self.wf, mw=self.mw)
             if kind == "rule":
-                def mine(table: Table, context: Any, first_pick: Any = None):
+                def mine(table: Table, context: Any):
                     return rule_drilldown(
                         table, rule, self.wf, k, self.mw, measure=self.measure,
-                        context=context, first_pick=first_pick,
+                        context=context,
                     )
             else:
-                def mine(table: Table, context: Any, first_pick: Any = None):
+                def mine(table: Table, context: Any):
                     return star_drilldown(
                         table, rule, column, self.wf, k, self.mw, measure=self.measure,
-                        context=context, first_pick=first_pick,
+                        context=context,
                     )
 
         io_before = self._disk.io_stats.simulated_seconds if self._disk else 0.0
         start = time.perf_counter()
         if not use_approx:
             mined, scale, method, sample_size = self._acquire(rule)
-            result = mine(mined, self._lease_context(cache_key, tag), first_pick=self._marginals)
+            result = mine(mined, self._lease_context(cache_key, tag))
             self._retain_context(cache_key, tag, result.context)
             children = self._attach(node, result.rule_list.entries, scale, kind)
         else:

@@ -1,13 +1,10 @@
 """Simulated disk storage substrate (Section 4's cost model)."""
 
 from repro.storage.disk import DEFAULT_PAGE_READ_SECONDS, DiskTable, IOStats, ScanContext
-from repro.storage.pager import CacheStats, PageCache
 
 __all__ = [
-    "CacheStats",
     "DEFAULT_PAGE_READ_SECONDS",
     "DiskTable",
     "IOStats",
-    "PageCache",
     "ScanContext",
 ]

@@ -76,9 +76,8 @@ class CategoricalColumn:
         codes in first-seen order — exactly the assignment
         :meth:`from_values` would produce had the whole stream been
         encoded at once, so an append is bit-identical (codes *and*
-        dictionary) to a cold re-encode of old+new.  This is the
-        invariant the versioned catalog's incremental maintenance
-        (first-pick delta bincounts) rests on.
+        dictionary) to a cold re-encode of old+new, so an appended
+        version mines exactly like a cold registration of its rows.
         """
         values = list(self._values)
         value_to_code = dict(self._value_to_code)

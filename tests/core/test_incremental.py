@@ -35,6 +35,7 @@ from repro.core import (
 from repro.core.marginal import SearchStats
 from repro.errors import RuleError
 from repro.session import DrillDownSession
+from repro.table import Schema, Table
 from tests.conftest import random_table, reference_drilldown
 
 
@@ -109,6 +110,24 @@ class TestEngineEquivalence:
         reference = reference_brs(measure_table, wf, 4, 2.0, measures=measures, prune=prune)
         lazy = brs(measure_table, wf, 4, 2.0, measures=measures, prune=prune)
         _assert_identical(reference, lazy)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("weighting", ["size", "bits", "size_minus_one"])
+    @pytest.mark.parametrize("mw", [0.5, 3.0, 100.0])
+    def test_mw_edges_on_random_tables(self, seed, weighting, mw):
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, n_rows=40, n_columns=4, domain=4)
+        wf = _weighting(weighting, table)
+        _assert_identical(reference_brs(table, wf, 3, mw), brs(table, wf, 3, mw))
+
+    def test_exact_ties_break_like_the_reference(self):
+        """Columns B and C copy A, so every level-1 marginal ties
+        exactly: any tie-break drift from the reference changes the
+        rule list."""
+        rows = [("a", "a", "a")] * 4 + [("b", "b", "b")] * 3 + [("c", "c", "c")] * 2
+        table = Table.from_rows(Schema.categorical(["A", "B", "C"]), rows)
+        wf = SizeWeight()
+        _assert_identical(reference_brs(table, wf, 4, 3.0), brs(table, wf, 4, 3.0))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_value_dependent_weight_sums_in_row_order(self, seed):

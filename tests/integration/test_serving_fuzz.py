@@ -38,8 +38,7 @@ append with the same deterministic :meth:`Table.append_rows`.
 Sessions opened *before* an append stay pinned to their version
 (their renders must not move by a byte); sessions opened *after* see
 the appended table and must match a standalone session built directly
-over it — across the incremental export growth and delta-maintained
-first-pick marginals the serving tiers use under the hood.
+over it.
 """
 
 from __future__ import annotations
@@ -132,8 +131,8 @@ def run_replay(
     default_deadline: float | None = None,
     sample_budget: int | None = None,
     approx: bool = False,
-    marginal_cache: bool = True,
     append_prob: float = 0.0,
+    share_contexts: bool = True,
 ) -> int:
     rng = np.random.default_rng(seed)
     tables = _make_tables(seed)
@@ -149,10 +148,10 @@ def run_replay(
             )
     with DrillDownServer(
         default_deadline=default_deadline, sample_budget=sample_budget,
-        marginal_cache=marginal_cache,
+        share_contexts=share_contexts,
     ) as server, ShardRouter(
         n_shards, default_deadline=default_deadline, sample_budget=sample_budget,
-        marginal_cache=marginal_cache,
+        share_contexts=share_contexts,
     ) as router:
         for name, table in tables.items():
             server.register_table(name, table)
@@ -309,7 +308,7 @@ def run_replay(
 
 class TestMultiTenantReplayParity:
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
     def test_replay_is_bit_identical_across_backends(self, seed, n_shards):
         performed = run_replay(seed, n_shards)
         assert performed >= 15  # the transcript really exercised the tiers
@@ -341,18 +340,15 @@ class TestMultiTenantReplayParity:
         performed = run_replay(seed, n_shards, sample_budget=32, approx=True)
         assert performed >= 15
 
-    @pytest.mark.cache
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_replay_parity_with_and_without_marginal_cache(self, enabled, n_shards):
-        """The marginal-cache dimension: the standalone replica never
-        has a first-pick cache, so every step's equality against the
-        serving tiers (which rebuild identical caches per shard from
-        wire-decoded tables when enabled) is a byte-level proof that
-        cached first picks change latency, never transcripts.  The
-        mw mix (3.0 vs the cache's 5.0) exercises hit and strict-miss
-        paths in one run."""
-        performed = run_replay(4, n_shards, marginal_cache=enabled)
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_replay_parity_with_private_contexts(self, seed, n_shards):
+        """The context-sharing dimension: with ``share_contexts=False``
+        every serving session builds its own lattices, so equality with
+        the standalone replica here, next to the shared-store runs
+        above, is a byte-level proof that leasing a shared context
+        changes latency, never transcripts."""
+        performed = run_replay(seed, n_shards, share_contexts=False)
         assert performed >= 15
 
     @pytest.mark.versioning
@@ -363,9 +359,8 @@ class TestMultiTenantReplayParity:
         ``append_rows`` ops must leave every pre-append (pinned)
         session's transcript untouched and every post-append session
         byte-equal to a standalone session over the appended table —
-        across the one-process server and 1/2/4-shard routers, i.e.
-        across incremental export growth, delta-maintained first-pick
-        marginals, and the shard wire protocol's append op."""
+        across the one-process server and 1/2/4-shard routers and the
+        shard wire protocol's append op."""
         performed = run_replay(seed, n_shards, steps=40, append_prob=0.15)
         assert performed >= 25
 
@@ -379,11 +374,8 @@ class TestMultiTenantReplayParity:
         assert performed >= 25
 
     @pytest.mark.versioning
-    @pytest.mark.cache
-    def test_append_replay_parity_without_marginal_cache(self):
-        """Appends with the first-pick cache disabled: parity must not
-        depend on the delta-maintenance path existing at all."""
-        performed = run_replay(6, 2, steps=40, append_prob=0.2, marginal_cache=False)
+    def test_append_replay_parity_at_a_higher_append_rate(self):
+        performed = run_replay(6, 2, steps=40, append_prob=0.2)
         assert performed >= 25
 
     def test_replay_with_deadlines_enabled_is_still_bit_identical(self):

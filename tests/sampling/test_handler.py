@@ -136,6 +136,17 @@ class TestEviction:
         h.get_sample(Rule([STAR, "B_v0", STAR]))
         assert h.memory_used() <= 2_500
 
+    @pytest.mark.parametrize("unit, capacity", [("tuples", 4_000), ("cells", 8_000)])
+    def test_protected_overshoot_shrinks_to_the_largest_fit(self, disk, unit, capacity):
+        # Two protected single-column samples of 2 500 tuples (2 cells a
+        # tuple) overshoot the budget by 1 000 tuples / 2 000 cells; the
+        # largest is shrunk to 1 500 tuples, which fills it exactly.
+        h = handler(disk, memory_capacity=capacity, budget_unit=unit)
+        a, b = Rule(["A_v0", STAR, STAR]), Rule([STAR, "B_v0", STAR])
+        h._create({a: 2_500, b: 2_500})
+        assert h.memory_used() == capacity
+        assert sorted(s.size for s in h.samples.values()) == [1_500, 2_500]
+
     def test_lru_eviction_order(self, disk):
         h = handler(disk, memory_capacity=2_000, min_sample_size=1_000)
         first = Rule.trivial(3)

@@ -235,6 +235,23 @@ class TestSampleFileRoundTrip:
         assert sweep_tmp(None) == 0
         assert sweep_tmp(tmp_path / "absent") == 0
 
+    def test_tmp_litter_swept_at_construction(self, tmp_path):
+        # Regression: SIGKILL mid-save leaves temp litter beside the
+        # persisted files; one sweep clears it from the snapshot and the
+        # sample directories, in both the old "<file>.tmp" and the
+        # current "<file>.tmp-<pid>-<tid>" forms.
+        sample_dir = tmp_path / "samples"
+        sample_dir.mkdir()
+        (sample_dir / "t.samples.json.tmp").write_text("partial")
+        (sample_dir / "t.samples.json.tmp-7-7").write_text("partial")
+        (tmp_path / "sess-000001.jsonl.tmp").write_text("partial")
+        (tmp_path / "sess-000001.jsonl.tmp-7-7").write_text("partial")
+        with DrillDownServer(persist_dir=tmp_path, sample_budget=100) as server:
+            assert server.catalog.cleaned_tmp == 2
+            assert server.store.cleaned_tmp == 2
+            assert list(sample_dir.iterdir()) == []
+            assert [p for p in tmp_path.iterdir() if p.is_file()] == []
+
 
 class TestServerKnobs:
     def test_default_approx_requires_budget(self):

@@ -1,8 +1,10 @@
 """ContextStore + SearchContext.clone: sharing without corruption.
 
 The load-bearing claims: a leased clone skips the full-table build but
-returns bit-identical rules; clones and prototypes are mutation-
-isolated; publishing is first-writer-wins; eviction bounds the store.
+returns bit-identical rules — across every weighting in the column-set
+family, mw edge values, measures and exact ties; clones and prototypes
+are mutation-isolated; publishing is first-writer-wins; eviction
+bounds the store.
 """
 
 from __future__ import annotations
@@ -10,11 +12,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Rule, SizeWeight, brs
+from repro.core import (
+    BitsWeight,
+    Rule,
+    SizeMinusOneWeight,
+    SizeWeight,
+    brs,
+    tuple_measures,
+)
 from repro.core.drilldown import drilldown_tag
 from repro.core.search_cache import SearchContext
 from repro.serving import ContextStore
 from repro.session import DrillDownSession
+from repro.table import Schema, Table
+from tests.conftest import random_table
 
 
 @pytest.fixture
@@ -69,6 +80,69 @@ class TestClone:
             if cand.rows is not None and clone._cands[key].rows is cand.rows
         )
         assert shared > 0  # zero-copy: materialised rows shared by reference
+
+
+def _weighting(name, table):
+    if name == "bits":
+        return BitsWeight.for_table(table)
+    return {"size": SizeWeight, "size_minus_one": SizeMinusOneWeight}[name]()
+
+
+def _picks(result):
+    return [(p.rule, p.weight, p.count, p.marginal) for p in result.picks]
+
+
+class TestLeasedEquivalence:
+    """A search served from a leased clone ≡ the cold search, bit for bit."""
+
+    @staticmethod
+    def _lease(table, wf, k, mw, measures=None):
+        """Publish a context that served a full run, then lease it back."""
+        store = ContextStore()
+        tag = drilldown_tag(
+            "rule", Rule.trivial(table.n_columns), None, measure=None, wf=wf, mw=mw
+        )
+        context = SearchContext(table, wf, mw, measures=measures)
+        brs(table, wf, k, mw, context=context, measures=measures)
+        assert store.publish(table, tag, context)
+        leased = store.lease(table, tag)
+        assert leased is not None and store.hits == 1
+        return leased
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("weighting", ["size", "bits", "size_minus_one"])
+    @pytest.mark.parametrize("mw", [0.5, 3.0, 100.0])
+    def test_mw_edges_on_random_tables(self, seed, weighting, mw):
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, n_rows=40, n_columns=4, domain=4)
+        wf = _weighting(weighting, table)
+        leased = self._lease(table, wf, 3, mw)
+        warm = brs(table, wf, 3, mw, context=leased)
+        cold = brs(table, wf, 3, mw)
+        assert _picks(warm) == _picks(cold)
+        assert warm.rule_list.rules == cold.rule_list.rules
+        assert leased.total_stats.candidates_generated == 0
+
+    def test_exact_ties_break_like_the_cold_search(self):
+        """Columns B and C copy A, so every level-1 marginal ties
+        exactly: any tie-break drift between the leased lattice and
+        the cold scan changes the rule list."""
+        rows = [("a", "a", "a")] * 4 + [("b", "b", "b")] * 3 + [("c", "c", "c")] * 2
+        table = Table.from_rows(Schema.categorical(["A", "B", "C"]), rows)
+        wf = SizeWeight()
+        leased = self._lease(table, wf, 4, 3.0)
+        assert _picks(brs(table, wf, 4, 3.0, context=leased)) == _picks(
+            brs(table, wf, 4, 3.0)
+        )
+
+    @pytest.mark.parametrize("measure", [None, "Sales"])
+    def test_measures(self, measure_table, measure):
+        wf = SizeWeight()
+        measures = tuple_measures(measure_table, measure)
+        leased = self._lease(measure_table, wf, 4, 2.0, measures=measures)
+        warm = brs(measure_table, wf, 4, 2.0, context=leased, measures=measures)
+        cold = brs(measure_table, wf, 4, 2.0, measures=measures)
+        assert _picks(warm) == _picks(cold)
 
 
 class TestStore:
@@ -151,6 +225,41 @@ class TestSessionIntegration:
         for session in shared_sessions:
             assert [c.rule for c in session.expand(session.root.rule)] == expected
             assert [c.rule for c in session.expand(walmart)] == expected2
+
+    @staticmethod
+    def _transcript(table, wf, store):
+        out = []
+        for op in ("expand", "star", "traditional"):
+            session = DrillDownSession(table, wf=wf, k=3, mw=4.0, context_store=store)
+            try:
+                root = session.root.rule
+                if op == "expand":
+                    children = [c.rule for c in session.expand(root)]
+                    out.append(children)
+                    if children:
+                        out.append([c.rule for c in session.expand(children[0])])
+                elif op == "star":
+                    out.append([c.rule for c in session.expand_star(root, 0)])
+                else:
+                    out.append([c.rule for c in session.expand_traditional(root, 1)])
+            finally:
+                session.close()
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_leased_transcripts_match_private(self, seed):
+        """Every drill-down verb, one level deep and two: a second pass
+        over a warm store (all leases) reads exactly like private
+        sessions."""
+        rng = np.random.default_rng(seed)
+        table = random_table(rng, n_rows=50, n_columns=4, domain=3)
+        wf = SizeWeight()
+        store = ContextStore()
+        private = self._transcript(table, wf, None)
+        assert self._transcript(table, wf, store) == private  # publishes
+        hits = store.hits
+        assert self._transcript(table, wf, store) == private  # leases
+        assert store.hits > hits
 
     def test_star_expansions_share_too(self, retail):
         wf = SizeWeight()

@@ -237,7 +237,6 @@ class TestErrorPropagation:
         [
             {"default_approx": True},
             {"default_error_target": 0.0},
-            {"marginal_mw": -1},
             {"max_sessions": 0},
             {"reaper_interval": -1},
         ],

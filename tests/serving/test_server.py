@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.core import Rule
+from repro.core import BitsWeight, Rule
 from repro.errors import (
     ServingError,
     TenantBudgetError,
@@ -22,6 +22,7 @@ from repro.errors import (
 )
 from repro.serving import DrillDownServer
 from repro.session import DrillDownSession
+from repro.table import Table
 
 
 class TestTables:
@@ -208,6 +209,65 @@ class TestConcurrency:
         assert stats["registry"]["per_tenant"] == {"alice": 1}
         assert stats["contexts"]["publishes"] == 1
         assert "'alice'" in stats["scheduler"]["tenants"]
+
+
+def _children(nodes):
+    return [(c.rule, c.count, c.weight) for c in nodes]
+
+
+def _standalone_children(table, wf=None):
+    session = DrillDownSession(table, wf=wf, k=3, mw=3.0)
+    return _children(session.expand(session.root.rule))
+
+
+class TestSharedContexts:
+    """The context store is the tier's one cross-session search cache:
+    it changes which lattices get built, never what a session reads."""
+
+    @pytest.mark.parametrize("change", ["append", "replace"])
+    def test_new_version_never_leases_the_old_lattice(self, retail, change):
+        with DrillDownServer() as server:
+            server.register_table("retail", retail)
+            before = server.create_session("retail", k=3, mw=3.0)
+            server.expand(before)
+            if change == "append":
+                server.append_rows("retail", [retail.row(i) for i in range(400)])
+            else:
+                server.replace_table(
+                    "retail", Table.from_rows(retail.schema, retail.to_rows()[::2])
+                )
+            latest = server.catalog.get("retail")
+            assert latest is not retail
+            after = server.create_session("retail", k=3, mw=3.0)
+            assert _children(server.expand(after)) == _standalone_children(latest)
+            stats = server.contexts.stats()
+            assert (stats["hits"], stats["prototypes"]) == (0, 2)
+
+    def test_private_contexts_read_like_shared(self, retail):
+        transcripts = []
+        for share in (True, False):
+            with DrillDownServer(share_contexts=share) as server:
+                server.register_table("retail", retail)
+                assert (server.contexts is None) == (not share)
+                assert (server.stats()["contexts"] is None) == (not share)
+                sids = [server.create_session("retail", k=3, mw=3.0) for _ in range(2)]
+                transcripts.append([_children(server.expand(sid)) for sid in sids])
+        assert transcripts[0] == transcripts[1]
+        assert transcripts[0][0] == _standalone_children(retail)
+
+    def test_bits_tenants_share_one_lattice(self, retail):
+        """``bits`` weights derive from the table; the server hands
+        every tenant the same instance, so they still share."""
+        with DrillDownServer() as server:
+            server.register_table("retail", retail)
+            sids = [
+                server.create_session("retail", wf="bits", k=3, mw=3.0) for _ in range(2)
+            ]
+            got = [_children(server.expand(sid)) for sid in sids]
+            assert got[0] == got[1] == _standalone_children(
+                retail, wf=BitsWeight.for_table(retail)
+            )
+            assert server.contexts.stats()["hits"] == 1
 
 
 class TestLifecycle:

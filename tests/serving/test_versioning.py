@@ -2,12 +2,11 @@
 
 The contract: ``append_rows`` creates a *new table version* whose
 serving behaviour is bit-identical to registering a table built from
-the same rows from scratch — across the incremental machinery
-(delta-maintained first-pick marginals, lazily rebuilt sample sets)
-that makes the append cheap — while every session opened before the
-append stays pinned to its version and does not move by a byte.  Superseded versions are reaped when their last
-pinned session closes, and reaping (like ``unregister``) purges the
-version's persisted sample artifact.
+the same rows from scratch — lazily rebuilt sample sets included —
+while every session opened before the append stays pinned to its
+version and does not move by a byte.  Superseded versions are reaped
+when their last pinned session closes, and reaping (like
+``unregister``) purges the version's persisted sample artifact.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.first_pick import build_first_pick_cache, extend_first_pick_cache
 from repro.core.rule import STAR, Rule
 from repro.errors import (
     ReproError,
@@ -24,7 +22,6 @@ from repro.errors import (
     UnknownTableError,
 )
 from repro.serving import DrillDownServer, ShardRouter, TableCatalog, TableVersion
-from repro.serving.catalog import WEIGHT_FUNCTIONS
 from repro.table import Schema, Table
 from tests.conftest import random_table
 
@@ -77,38 +74,6 @@ class TestAppendBitIdentity:
         base = Table.from_rows(SCHEMA, BASE_ROWS)
         with pytest.raises(ReproError):
             base.append_rows([("a", "x")])  # wrong width
-
-    def test_delta_marginals_match_cold_build(self):
-        base = Table.from_rows(SCHEMA, BASE_ROWS)
-        appended = base.append_rows(EXTRA_ROWS)
-        old_cache = build_first_pick_cache(base, WEIGHT_FUNCTIONS["size"](base), 5.0)
-        wf = WEIGHT_FUNCTIONS["size"](appended)
-        delta = extend_first_pick_cache(old_cache, appended, wf)
-        assert delta is not None, "size weighting must take the delta path"
-        cold = build_first_pick_cache(appended, wf, 5.0)
-        assert len(delta.entries) == len(cold.entries)
-        for d_entry, c_entry in zip(delta.entries, cold.entries):
-            assert (d_entry is None) == (c_entry is None)
-            if d_entry is None:
-                continue
-            d_weight, d_supported, d_counts, d_marginals = d_entry
-            c_weight, c_supported, c_counts, c_marginals = c_entry
-            assert d_weight == c_weight
-            assert np.array_equal(d_supported, c_supported)
-            assert np.array_equal(d_counts, c_counts)
-            # Bit-identical, not just numerically close: the delta fold
-            # replays the cold pass's IEEE accumulation order exactly.
-            assert d_marginals.tobytes() == c_marginals.tobytes()
-
-    def test_delta_declines_weight_changing_appends(self):
-        """``bits`` weights depend on dictionary sizes, which the append
-        grows — the extension must refuse and force a cold rebuild."""
-        base = Table.from_rows(SCHEMA, BASE_ROWS)
-        appended = base.append_rows(EXTRA_ROWS)
-        old_cache = build_first_pick_cache(base, WEIGHT_FUNCTIONS["bits"](base), 5.0)
-        assert old_cache is not None
-        wf = WEIGHT_FUNCTIONS["bits"](appended)
-        assert extend_first_pick_cache(old_cache, appended, wf) is None
 
 
 # -- the serving-tier equivalence pin --------------------------------------------
@@ -177,6 +142,29 @@ class TestEquivalencePin:
             assert record["version"] == 2
             sid = tier.create_session("t")
             assert len(tier.session_columns(sid)) == retail.n_columns
+
+    @pytest.mark.parametrize(
+        "make_tier",
+        [pytest.param(DrillDownServer, id="server"),
+         pytest.param(lambda: ShardRouter(2), id="router-2")],
+    )
+    def test_same_object_replace_mints_no_version(self, make_tier, tiny_table, retail):
+        tier = make_tier()
+        try:
+            tier.register_table("t", tiny_table)
+            sid = tier.create_session("t")
+            tier.expand(sid)
+            render = tier.render(sid)
+            record = tier.replace_table("t", tiny_table)
+            assert record == {
+                "version": 1, "rows": tiny_table.n_rows, "appended": 0, "pins": 1,
+            }
+            record = tier.replace_table("t", retail)
+            assert (record["version"], record["pins"]) == (2, 0)
+            # The open session keeps its pin on version 1.
+            assert tier.render(sid) == render
+        finally:
+            tier.close()
 
     def test_conflict_travels_the_wire(self, tiny_table, retail):
         """Satellite 2 end to end: the typed conflict crosses the shard
@@ -292,7 +280,6 @@ class TestArtifactPurge:
         return TableCatalog(
             sample_budget=16,
             sample_dir=tmp_path / "samples",
-            marginal_mw=5.0,
         )
 
     def test_unregister_purges_persisted_artifacts(self, tmp_path, tiny_table):

@@ -3,12 +3,15 @@
 Counting runs in one place, in the caller's process, so no entry point
 takes a worker count, a pool, or a pool-scheduler tenant label any
 more.  One engine serves every search, so nothing takes an ``engine``
-selector, and the reference search takes no first-pick cache.  The
-level-2 pair cache is gone, and with it every knob that sized it.
+selector.  The level-2 pair cache is gone, and with it every knob
+that sized it; so is the level-1 first-pick cache, with the
+``first_pick``/``marginals`` seams that threaded it into a search and
+the ``marginal_cache``/``marginal_mw`` knobs that built it.
 Settings that only ever took one value are module constants now
-(``MARGINAL_WEIGHTINGS``, ``VIRTUAL_NODES``, ``PROBE_TIMEOUT``,
-``RETRY_BACKOFF``, ``START_TIMEOUT``), and the router reads a pipe op's
-deadline class from ``OPS`` instead of a ``use_default`` flag.  Each case asserts the keyword is absent from the signature and
+(``VIRTUAL_NODES``, ``PROBE_TIMEOUT``, ``RETRY_BACKOFF``,
+``START_TIMEOUT``), and the router reads a pipe op's deadline class
+from ``OPS`` instead of a ``use_default`` flag.  Each case asserts the
+keyword is absent from the signature and
 that the callable swallows no unknown keywords either, so passing one
 is a ``TypeError`` rather than a silently ignored option.
 ``DrillDownSession`` keeps its own ``tenant``: that one is an opaque
@@ -82,6 +85,18 @@ REMOVED = [
     (DrillDownServer, "marginal_weightings"),
     (ShardRouter, "marginal_weightings"),
     (TableCatalog, "marginal_weightings"),
+    (SearchContext, "first_pick"),
+    (brs, "first_pick"),
+    (brs_iter, "first_pick"),
+    (brs_time_limited, "first_pick"),
+    (rule_drilldown, "first_pick"),
+    (star_drilldown, "first_pick"),
+    (DrillDownSession, "marginals"),
+    (TableCatalog, "marginal_mw"),
+    (DrillDownServer, "marginal_cache"),
+    (DrillDownServer, "marginal_mw"),
+    (ShardRouter, "marginal_cache"),
+    (ShardRouter, "marginal_mw"),
     (ShardRouter, "virtual_nodes"),
     (ShardRouter, "retry_backoff"),
     (ShardRouter, "probe_timeout"),
@@ -113,8 +128,11 @@ def test_http_cli_has_no_workers_flag(capsys):
     assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
-def test_http_cli_has_no_marginal_pairs_flag(capsys):
+@pytest.mark.parametrize(
+    "argv", [["--marginal-pairs", "8"], ["--no-marginal-cache"], ["--marginal-mw", "5"]]
+)
+def test_http_cli_has_no_marginal_cache_flags(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        http_main(["--marginal-pairs", "8"])
+        http_main(argv)
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --marginal-pairs" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err

@@ -13,14 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.first_pick import build_first_pick_cache, extend_first_pick_cache
 from repro.core.marginal import find_best_marginal_rule
 from repro.core.parallel import CountingBackend, CountingPool, count_extensions_kernel
 from repro.core.rule import STAR
+from repro.core.weights import CallableWeight, SizeWeight
 from repro.serving.catalog import TableCatalog
 from repro.serving.http import node_to_wire, rule_from_wire, rule_to_wire
 from repro.serving.scheduler import FairScheduler
 from repro.serving.shard import decode_node, encode_node
 from repro.session import DrillDownSession
+from repro.table import Table
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 SERVED = [
@@ -49,6 +52,20 @@ def test_benchmark_names_exist(tiny_table):
         assert catalog.version_stats()["exports_grown"] == 0
     finally:
         catalog.close()
+
+
+def test_first_pick_shim_is_the_level1_pass(tiny_table):
+    wf = SizeWeight()
+    level1 = build_first_pick_cache(tiny_table, wf, 3.0)
+    assert len(level1) == tiny_table.n_columns
+    for supported, counts, _marginals in level1:
+        assert supported.size and counts.sum() == tiny_table.n_rows
+    extended = extend_first_pick_cache(level1, tiny_table, wf)
+    assert [c.tobytes() for _s, c, _m in extended] == [c.tobytes() for _s, c, _m in level1]
+    # None where the benchmark expects it: a value-dependent weighting,
+    # or a table with no categorical columns.
+    assert build_first_pick_cache(tiny_table, CallableWeight(lambda r: 1.0), 3.0) is None
+    assert build_first_pick_cache(Table.from_dict({"x": [1.0, 2.0]}), wf, 3.0) is None
 
 
 def test_benchmark_codecs_round_trip(tiny_table):
