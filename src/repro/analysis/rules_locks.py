@@ -11,7 +11,7 @@ lock, write the file outside it.
 
 This rule mechanizes that discipline lexically: inside a ``with``
 block whose context manager is a lock attribute (``self._lock``,
-``entry.lock``, ``self._weights_lock``, ...) or a bounded-lock helper
+``entry.lock``, ``self._persist_lock``, ...) or a bounded-lock helper
 (``entry.hold(...)``), any call whose target name is a known blocking
 operation is flagged:
 
@@ -22,12 +22,11 @@ operation is flagged:
   / ``kill`` (session/process teardown blocks on in-flight work)
 * thread/process — ``join``, ``sleep``, ``acquire`` (nested lock
   acquisition under a held lock is the textbook deadlock shape)
-* work dispatch — ``run_tasks`` / ``submit`` / ``dispatch_turn``
+* work dispatch — ``run_tasks`` / ``submit``
 
 ``Condition.wait`` is deliberately *not* in the list: waiting on a
-condition built over the held lock releases it (the
-:class:`~repro.serving.scheduler.FairScheduler` dispatch gate is the
-correct version of that pattern).  Function *definitions* nested under
+condition built over the held lock releases it, which is the correct
+version of that pattern.  Function *definitions* nested under
 a lock are skipped — a closure defined under a lock does not run
 there.
 
@@ -66,7 +65,6 @@ BLOCKING_CALLS = frozenset(
         "acquire",
         "run_tasks",
         "submit",
-        "dispatch_turn",
     }
 )
 

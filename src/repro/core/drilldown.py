@@ -82,15 +82,14 @@ def drilldown_tag(
 
     Two drill-downs whose tags compare equal are served by the same
     :class:`~repro.core.search_cache.SearchContext` (given the same
-    mined table).  The weight function participates by identity —
-    callers that want cross-session sharing must share ``wf``
-    instances, which is what :class:`repro.serving.DrillDownServer`'s
-    weight registry does.  The drill-down functions build their
+    mined table).  The weight function participates by value, through
+    :meth:`~repro.core.weights.WeightFunction.key`: two ``SizeWeight()``
+    objects are one weighting.  The drill-down functions build their
     internal tags through this helper, so external keying (the
     session's cache, the serving tier's
     :class:`~repro.serving.ContextStore`) cannot drift from them.
     """
-    return (kind, parent, column, measure, wf, float(mw), max_rule_size, prune)
+    return (kind, parent, column, measure, wf.key(), float(mw), max_rule_size, prune)
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def _context_reusable(context: SearchContext | None, table: Table, tag: tuple) -
     """True when ``context`` was built for exactly this drill-down.
 
     ``tag`` equality compares the operation kind, parent rule, column,
-    measure, weight function (by identity), and search parameters;
+    measure, weight function (by value), and search parameters;
     ``source`` identity ties the context to the mined table object, so
     a sampled session whose sample was swapped rebuilds automatically.
     """

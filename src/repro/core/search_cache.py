@@ -252,7 +252,7 @@ class SearchContext:
         """Raise :class:`RuleError` unless this context serves the given search."""
         if table is not self.table:
             raise RuleError("search context was built for a different table")
-        if wf is not self.wf:
+        if wf.key() != self.wf.key():
             raise RuleError("search context was built for a different weight function")
         if float(mw) != self.mw:
             raise RuleError("search context was built for a different mw")

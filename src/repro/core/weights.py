@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -71,6 +71,17 @@ class WeightFunction(ABC):
 
     def __call__(self, rule: Rule) -> float:
         return self.weight(rule)
+
+    def key(self) -> Hashable:
+        """A hashable value identifying this weighting as a function.
+
+        Equal keys mean equal weights on every rule, so searches under
+        key-equal weightings can share one candidate lattice
+        (:func:`~repro.core.drilldown.drilldown_tag`).  The default is
+        the instance itself, so an arbitrary weighting equals only
+        itself; the built-ins return their class tag and parameters.
+        """
+        return self
 
     def max_weight(self, n_columns: int) -> float | None:
         """Largest weight any rule over ``n_columns`` columns can attain.
@@ -116,6 +127,9 @@ class SizeWeight(ColumnSetWeight):
     table cells "pre-filled" when reconstructing the table from the
     rules (Section 2.2).
     """
+
+    def key(self) -> Hashable:
+        return ("size",)
 
     def weight_of_columns(self, columns: tuple[int, ...]) -> float:
         return float(len(columns))
@@ -167,6 +181,9 @@ class BitsWeight(ColumnSetWeight):
     def column_bits(self) -> tuple[float, ...]:
         return self._bits
 
+    def key(self) -> Hashable:
+        return ("bits", self._bits)
+
     def weight_of_columns(self, columns: tuple[int, ...]) -> float:
         return float(sum(self._bits[c] for c in columns))
 
@@ -183,6 +200,9 @@ class SizeMinusOneWeight(ColumnSetWeight):
     Gives zero weight to single-column rules, forcing the optimiser to
     surface rules instantiating at least two columns.
     """
+
+    def key(self) -> Hashable:
+        return ("size_minus_one",)
 
     def weight_of_columns(self, columns: tuple[int, ...]) -> float:
         return float(max(0, len(columns) - 1))
@@ -221,6 +241,9 @@ class ParametricWeight(ColumnSetWeight):
     def exponent(self) -> float:
         return self._exponent
 
+    def key(self) -> Hashable:
+        return ("parametric", self._weights, self._exponent)
+
     def weight_of_columns(self, columns: tuple[int, ...]) -> float:
         base = sum(self._weights[c] for c in columns)
         return float(base**self._exponent) if base > 0 else 0.0
@@ -249,6 +272,9 @@ class ColumnIndicatorWeight(ColumnSetWeight):
     @property
     def column(self) -> int:
         return self._column
+
+    def key(self) -> Hashable:
+        return ("column", self._column)
 
     def weight_of_columns(self, columns: tuple[int, ...]) -> float:
         return 1.0 if self._column in columns else 0.0
@@ -282,6 +308,9 @@ class StarConstrainedWeight(WeightFunction):
     @property
     def column(self) -> int:
         return self._column
+
+    def key(self) -> Hashable:
+        return ("star", self._base.key(), self._column)
 
     def weight(self, rule: Rule) -> float:
         if rule.is_star(self._column):
@@ -329,6 +358,9 @@ class MergedWeight(WeightFunction):
     @property
     def parent(self) -> Rule:
         return self._parent
+
+    def key(self) -> Hashable:
+        return ("merged", self._base.key(), self._parent)
 
     def weight(self, rule: Rule) -> float:
         merged = rule.merge(self._parent)

@@ -18,8 +18,8 @@ catalog persists (``sample_dir``); its file carries the table's content
 fingerprint, so a stale file is rebuilt, never served.  Sessions pin
 the version they started on (they hold the ``Table`` object; nothing
 the catalog does ever mutates it), new sessions get the latest version,
-and a superseded version is reaped — weight registry purged — when its
-last pinned session closes (:meth:`unpin`).
+and a superseded version is reaped when its last pinned session closes
+(:meth:`unpin`).
 """
 
 from __future__ import annotations
@@ -48,18 +48,33 @@ from repro.serving.samples import (
 )
 from repro.table.table import Table
 
-__all__ = ["TableCatalog", "TableVersion", "WEIGHT_FUNCTIONS"]
+__all__ = ["TableCatalog", "TableVersion", "WEIGHT_FUNCTIONS", "resolve_weight"]
 
 #: Weight functions creatable by name over the wire.  Factories take
 #: the served table — Bits weighting derives per-column bit counts
-#: from the table's dictionary sizes (§2.2).  Lives on the catalog so
-#: every tenant session resolves the *same* instances to key contexts
-#: on; :mod:`repro.serving.server` re-exports it for compatibility.
+#: from the table's dictionary sizes (§2.2).  Contexts key weightings
+#: by value, so each resolution may build a fresh instance;
+#: :mod:`repro.serving.server` re-exports it for compatibility.
 WEIGHT_FUNCTIONS: dict[str, Callable[[Table], WeightFunction]] = {
     "size": lambda table: SizeWeight(),
     "bits": BitsWeight.for_table,
     "size_minus_one": lambda table: SizeMinusOneWeight(),
 }
+
+
+def resolve_weight(spec: str | WeightFunction, table: Table) -> WeightFunction:
+    """The weighting ``spec`` names over ``table``; an instance passes
+    through unchanged."""
+    if isinstance(spec, WeightFunction):
+        return spec
+    try:
+        factory = WEIGHT_FUNCTIONS[spec]
+    except KeyError:
+        raise ServingError(
+            f"unknown weight function {spec!r}; one of {sorted(WEIGHT_FUNCTIONS)}"
+        ) from None
+    return factory(table)
+
 
 _SAMPLE_FILE_SAFE = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -69,7 +84,7 @@ class TableVersion:
     """One live version of a registered table name.
 
     ``pins`` counts the live sessions mining exactly this version; a
-    superseded version is reaped (weight-registry entries purged) when its last pin is released.  ``appended`` is the
+    superseded version is reaped when its last pin is released.  ``appended`` is the
     row count the creating :meth:`TableCatalog.append_rows` added
     (``0`` for register / replace versions).
     """
@@ -134,12 +149,6 @@ class TableCatalog:
         self._samples: dict[str, TableSampleSet] = {}
         self._samples_built = 0
         self._samples_loaded = 0
-        # Weight-instance registry: one shared instance per (name,
-        # table), so every tenant's contexts key on the same object.
-        # Entries keep a strong table reference — id() keys alone could
-        # be recycled by a new table allocated at a dead table's address.
-        self._weights: dict[tuple[str, int], tuple[Table, WeightFunction]] = {}
-        self._weights_lock = threading.Lock()
         self.cleaned_tmp = sweep_tmp(self._sample_dir)
         self._tables: dict[str, Table] = {}
         # Version records: name -> latest version number, plus one
@@ -314,35 +323,6 @@ class TableCatalog:
         no first-pick cache, so nothing is built and no table is listed."""
         return {"built": 0, "tables": {}}
 
-    # -- weight registry ---------------------------------------------------------
-
-    def weight(self, spec: str | WeightFunction, table: Table) -> WeightFunction:
-        """Resolve a weighting name to this catalog's shared instance.
-
-        Sharing instances is load-bearing: the
-        :class:`~repro.serving.ContextStore` keys weight functions by
-        identity, so ``"size"`` must mean the *same* ``SizeWeight``
-        object for every tenant on a table.  Instances are cached per
-        ``(name, table)`` — Bits weighting is genuinely table-derived,
-        and the store never shares across tables anyway.  A :class:`WeightFunction`
-        instance passes through unchanged (shared only if the caller
-        reuses it).
-        """
-        if isinstance(spec, WeightFunction):
-            return spec
-        try:
-            factory = WEIGHT_FUNCTIONS[spec]
-        except KeyError:
-            raise ServingError(
-                f"unknown weight function {spec!r}; one of {sorted(WEIGHT_FUNCTIONS)}"
-            ) from None
-        key = (spec, id(table))
-        with self._weights_lock:
-            entry = self._weights.get(key)
-            if entry is None or entry[0] is not table:
-                entry = self._weights[key] = (table, factory(table))
-            return entry[1]
-
     def samples_for(self, name: str) -> TableSampleSet | None:
         """The sample set for ``name``, current for its latest version
         (``None`` when the catalog was built without a
@@ -421,7 +401,7 @@ class TableCatalog:
 
         When that was the last pin and the version is dead — superseded
         by a newer one, or its name unregistered — the version is
-        reaped: record dropped, weight-registry entries purged, and (once no version of the name survives
+        reaped: record dropped and (once no version of the name survives
         anywhere) persisted artifacts purged.  Returns the reaped
         :class:`~repro.table.Table` so the caller can drop its own
         derived state (e.g. context prototypes), else ``None``.
@@ -438,25 +418,18 @@ class TableCatalog:
         return record.table
 
     def _reap(self, name: str, record: TableVersion) -> None:
-        """Reap one dead version: drop its record, purge its
-        weight-registry entries; purge persisted artifacts
-        once the name has no surviving version at all."""
-        table = record.table
+        """Reap one dead version: drop its record; purge persisted
+        artifacts once the name has no surviving version at all."""
         with self._lock:
             self._records.pop((name, record.version), None)
             self._versions_reaped += 1
             purge = name not in self._tables and not any(
                 key[0] == name for key in self._records
             )
-        with self._weights_lock:
-            for key in [
-                k for k, (held, _wf) in self._weights.items() if held is table
-            ]:
-                del self._weights[key]
         if purge:
             self._purge_artifacts(name)
         if self.on_reap is not None:
-            self.on_reap(name, table)
+            self.on_reap(name, record.table)
 
     def _purge_artifacts(self, name: str) -> None:
         """Delete ``name``'s persisted sample file.
@@ -568,8 +541,6 @@ class TableCatalog:
             self._latest.clear()
             self._records.clear()
             self._stale_samples.clear()
-        with self._weights_lock:
-            self._weights.clear()
 
     def __enter__(self) -> "TableCatalog":
         return self

@@ -21,9 +21,8 @@ second tenant skip that work:
 
 Keys are ``(table identity, drill-down tag)`` where the tag comes from
 :func:`repro.core.drilldown.drilldown_tag`; the weight function
-participates by identity, which is why the serving facade hands every
-tenant the same weight-function instances (see
-:class:`~repro.serving.DrillDownServer`).  Prototypes hold strong
+participates by value (:meth:`~repro.core.weights.WeightFunction.key`),
+so tenants with equal weightings share.  Prototypes hold strong
 references to their table; :meth:`drop_table` releases everything for
 an unregistered table, and ``max_prototypes`` (LRU) bounds the store.
 Sharing never changes results — the equivalence is pinned by

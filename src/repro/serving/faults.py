@@ -54,7 +54,7 @@ __all__ = ["OPS", "ChaosPolicy", "ChaosRule", "CircuitBreaker", "ShardWatchdog"]
 #:
 #: ``shutdown`` and ``chaos`` are frames of the worker loop, not ops.
 OPS: dict[str, str] = {
-    **dict.fromkeys(("ping", "tables", "stats", "render", "tree", "session_columns"), "read"),
+    **dict.fromkeys(("ping", "tables", "stats", "render", "tree"), "read"),
     **dict.fromkeys(
         ("create_session", "expand", "expand_star", "expand_traditional", "collapse",
          "close_session"),

@@ -222,11 +222,12 @@ class ShardRouter:
         )
         self._ring_points = [point for point, _ in self._ring]
         # Routing state.  _tables keeps the live Table: identity for idempotent
-        # re-registration, columns for HTTP, the source a respawn re-encodes.
+        # re-registration, the source a respawn re-encodes.  _sessions maps
+        # a session to its shard and the columns of the version it pinned.
         self._lock = threading.RLock()
         self._tables: dict[str, Table] = {}
         self._table_versions: dict[str, int] = {}
-        self._sessions: dict[str, tuple[int, str]] = {}
+        self._sessions: dict[str, tuple[int, tuple[str, ...]]] = {}
         self._closed = False
         self.restarts = 0
         # Snapshots written under a *different* shard count live in
@@ -341,7 +342,7 @@ class ShardRouter:
                 # re-registration below restores them from its store.
                 for sid in [
                     sid
-                    for sid, (index, _table) in self._sessions.items()
+                    for sid, (index, _columns) in self._sessions.items()
                     if index == shard.index
                 ]:
                     del self._sessions[sid]
@@ -394,9 +395,7 @@ class ShardRouter:
                 return
             except ServingError:  # pragma: no cover - one bad table
                 continue  # must not cost the shard its other tables
-            with self._lock:
-                for sid, table_name, _version in result.get("sessions", ()):
-                    self._sessions.setdefault(sid, (shard.index, table_name))
+            self._adopt_sessions(shard, result)
 
     # -- placement ---------------------------------------------------------------
 
@@ -422,18 +421,18 @@ class ShardRouter:
                 raise ServingError("router is closed")
             return self._shards[index]
 
-    def _session_shard(self, session_id: str) -> tuple[ShardProcess, str]:
+    def _session_shard(self, session_id: str) -> tuple[ShardProcess, tuple[str, ...]]:
         with self._lock:
             if self._closed:
                 raise ServingError("router is closed")
             try:
-                index, table_name = self._sessions[session_id]
+                index, columns = self._sessions[session_id]
             except KeyError:
                 raise UnknownSessionError(
                     f"no live session {session_id!r} (unknown, closed, expired, "
                     "or evicted — create a new session)"
                 ) from None
-            return self._shards[index], table_name
+            return self._shards[index], columns
 
     # -- the request spine -------------------------------------------------------
 
@@ -539,7 +538,7 @@ class ShardRouter:
             if attempt:
                 backoff = RETRY_BACKOFF * (2 ** (attempt - 1))
                 time.sleep(backoff * (0.5 + self._retry_rng.random() / 2.0))
-            shard, _table = self._session_shard(session_id)
+            shard, _columns = self._session_shard(session_id)
             try:
                 return self._request(shard, op, args, deadline=deadline)
             except (DeadlineExceededError, CircuitOpenError):
@@ -655,9 +654,15 @@ class ShardRouter:
         with self._lock:
             self._tables[name] = table
             self._table_versions[name] = int(result.get("version", 1))
-            for sid, table_name, _version in result.get("sessions", ()):
-                self._sessions.setdefault(sid, (shard.index, table_name))
+        self._adopt_sessions(shard, result)
         return result
+
+    def _adopt_sessions(self, shard: ShardProcess, result: dict) -> None:
+        """Learn the sessions a ``register_table`` reply lists (warm
+        restores among them), each with its pinned version's columns."""
+        with self._lock:
+            for sid, columns in result.get("sessions", ()):
+                self._sessions.setdefault(sid, (shard.index, tuple(columns)))
 
     def append_rows(self, name: str, rows) -> dict:
         """Append ``rows`` to ``name`` on its owning shard (a new table
@@ -749,29 +754,21 @@ class ShardRouter:
             {"table": table, "tenant": tenant, "wf": wf, "k": k, "mw": mw, "measure": measure},
             deadline=deadline,
         )
+        session_id = result["session_id"]
         with self._lock:
-            self._sessions[result] = (shard.index, table)
-        return result
+            self._sessions[session_id] = (shard.index, tuple(result["columns"]))
+        return session_id
 
     def session_columns(
         self, session_id: str, *, deadline: float | None = None
     ) -> tuple[str, ...]:
-        """Column names for a live session — answered from the router's
-        own maps, no pipe round trip."""
-        _shard, table_name = self._session_shard(session_id)
-        with self._lock:
-            held = self._tables.get(table_name)
-        if held is not None:
-            return held.column_names
-        # Restored session over a table this router never held (e.g.
-        # registered by a previous incarnation): ask the shard.
-        return tuple(
-            self._session_request(session_id, "session_columns", {}, deadline=deadline)
-        )
+        """Column names of the table version the session pinned —
+        answered from the router's own map, no pipe round trip."""
+        return self._session_shard(session_id)[1]
 
     def close_session(self, session_id: str) -> bool:
         try:
-            shard, _table = self._session_shard(session_id)
+            shard, _columns = self._session_shard(session_id)
         except UnknownSessionError:
             return False
         try:

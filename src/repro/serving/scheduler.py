@@ -1,36 +1,26 @@
-"""Fair scheduling: per-tenant token budgets + round-robin turns.
+"""Fair scheduling: per-tenant token budgets only.
 
-Two independent fairness mechanisms, one class:
+Every tenant has a token bucket (capacity + optional refill rate).  The
+serving facade charges one expansion's estimated cost (the mined
+source's row count, see
+:attr:`~repro.session.session.DrillDownSession.source_rows`) *before*
+running it; an empty bucket raises the typed
+:class:`~repro.errors.TenantBudgetError` immediately — a throttled
+tenant gets a clear retry-able error, never a queue it silently starves
+in.  ``capacity=None`` (the default) means unmetered.
 
-* **Token budgets** — every tenant has a token bucket (capacity +
-  optional refill rate).  The serving facade charges one expansion's
-  estimated cost (the mined source's row count, see
-  :attr:`~repro.session.session.DrillDownSession.source_rows`) *before*
-  running it; an empty bucket raises the typed
-  :class:`~repro.errors.TenantBudgetError` immediately — a throttled
-  tenant gets a clear retry-able error, never a queue it silently
-  starves in.  ``capacity=None`` (the default) means unmetered.
-* **Round-robin turns** — the :meth:`FairScheduler.dispatch_turn`
-  context manager hands out one turn at a time, rotating across
-  tenants with waiting callers (FIFO within a tenant), with an
-  optional deadline on the wait.  The serving tier counts in process
-  and no longer calls it; it stays a tested primitive.
-
-Neither mechanism ever changes results — only when, or whether, work
-runs.
+Budgets never change results — only whether work runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-from repro.errors import DeadlineExceededError, TenantBudgetError
+from repro.errors import TenantBudgetError
 
 __all__ = ["FairScheduler", "TenantBudget"]
 
@@ -56,15 +46,8 @@ class TenantBudget:
         }
 
 
-@dataclass
-class _TurnQueue:
-    """Tickets of threads waiting for (or holding) a tenant's dispatch turn."""
-
-    waiting: deque = field(default_factory=deque)
-
-
 class FairScheduler:
-    """Per-tenant token budgets and round-robin dispatch turns.
+    """Per-tenant token budgets.
 
     Parameters
     ----------
@@ -91,18 +74,7 @@ class FairScheduler:
         self._default_refill = default_refill_per_second
         self._clock = clock
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
         self._budgets: dict[Any, TenantBudget] = {}
-        # Round-robin state: tenants with waiting dispatchers, in turn
-        # order; per-tenant FIFO of tickets; the ticket currently
-        # holding the (single) dispatch turn.
-        self._ring: list[Any] = []
-        self._queues: dict[Any, _TurnQueue] = {}
-        self._active: int | None = None
-        self._active_tenant: Any = None
-        self._tickets = itertools.count(1)
-        self.dispatches = 0
-        self.deadline_aborts = 0
 
     # -- token budgets -----------------------------------------------------------
 
@@ -189,106 +161,22 @@ class FairScheduler:
             self._refill(budget)
             return budget.tokens
 
-    # -- round-robin dispatch ----------------------------------------------------
-
-    def _my_turn(self, tenant: Any, ticket: int) -> bool:
-        return (
-            self._active is None
-            and bool(self._ring)
-            and self._ring[0] == tenant
-            and self._queues[tenant].waiting[0] == ticket
-        )
-
-    def _abandon_locked(self, tenant: Any, ticket: int) -> None:
-        """Withdraw a waiting ticket whose deadline expired (lock held).
-
-        Removes the ticket from the tenant's FIFO; when that empties
-        the queue *and* no other ticket of this tenant currently holds
-        the turn (the holder's own release pops the ring head and
-        cleans up), the tenant leaves the ring too — an abandoned wait
-        must never leave a ghost tenant blocking rotation.
-        """
-        queue = self._queues.get(tenant)
-        if queue is None:  # pragma: no cover - defensive
-            return
-        try:
-            queue.waiting.remove(ticket)
-        except ValueError:  # pragma: no cover - defensive
-            return
-        if not queue.waiting and self._active_tenant != tenant:
-            del self._queues[tenant]
-            try:
-                self._ring.remove(tenant)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        self._cond.notify_all()
-
-    # Kept for benchmarks/e2e (its tracer times the wait for a turn).
+    # Kept for benchmarks/e2e (its tracer wraps it to time the wait for
+    # a turn).  Nothing serves through turns any more: it waits for
+    # nothing and never raises.
     @contextmanager
     def dispatch_turn(
         self, tenant: Any, *, deadline_at: float | None = None
     ) -> Iterator[None]:
-        """Hold the one dispatch turn for the duration of the block.
-
-        The serving tier no longer calls this (counting runs in the
-        request's own thread).  One holder at a time; when several
-        tenants contend, turns rotate tenant-by-tenant (FIFO within a
-        tenant), so a backlog from one tenant delays its *own* next
-        turn, not every other tenant's first.
-
-        ``deadline_at`` (absolute, in this scheduler's clock) bounds
-        the queue wait: a ticket still waiting at the deadline is
-        withdrawn and :class:`~repro.errors.DeadlineExceededError`
-        raised — the serving facade refunds the expansion's budget
-        charge on that path.  (With an injectable test clock the wait
-        duration is measured in clock units; deterministic tests pass
-        an already-expired deadline.)
-        """
-        ticket = next(self._tickets)
-        with self._cond:
-            queue = self._queues.setdefault(tenant, _TurnQueue())
-            queue.waiting.append(ticket)
-            if tenant not in self._ring:
-                self._ring.append(tenant)
-            while not self._my_turn(tenant, ticket):
-                if deadline_at is None:
-                    self._cond.wait()
-                    continue
-                remaining = deadline_at - self._clock()
-                if remaining <= 0.0:
-                    self._abandon_locked(tenant, ticket)
-                    self.deadline_aborts += 1
-                    raise DeadlineExceededError(
-                        f"tenant {tenant!r} waited past its deadline for a "
-                        "dispatch turn",
-                        retry_after=1.0,
-                    )
-                self._cond.wait(timeout=remaining)
-            self._active = ticket
-            self._active_tenant = tenant
-            queue.waiting.popleft()
-            self.dispatches += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._active = None
-                self._active_tenant = None
-                self._ring.pop(0)
-                if self._queues[tenant].waiting:
-                    self._ring.append(tenant)  # round-robin: back of the line
-                else:
-                    del self._queues[tenant]
-                self._cond.notify_all()
+        """A no-op block."""
+        yield
 
     # -- introspection -----------------------------------------------------------
 
     def stats(self) -> dict:
-        """Budget and dispatch accounting, keyed by tenant."""
+        """Budget accounting, keyed by tenant."""
         with self._lock:
             return {
-                "dispatches": self.dispatches,
-                "deadline_aborts": self.deadline_aborts,
                 "tenants": {
                     repr(tenant): budget.snapshot()
                     for tenant, budget in self._budgets.items()
@@ -296,7 +184,4 @@ class FairScheduler:
             }
 
     def __repr__(self) -> str:
-        return (
-            f"FairScheduler(tenants={len(self._budgets)}, "
-            f"dispatches={self.dispatches})"
-        )
+        return f"FairScheduler(tenants={len(self._budgets)})"

@@ -25,10 +25,9 @@ Results are identical to standalone sessions: the catalog, store, and
 scheduler only change what is shared and who may run, never which
 rules win (pinned by ``tests/serving/test_server.py``).
 
-Weight functions are resolved through a per-server registry
-(``"size"``, ``"bits"``, ``"size_minus_one"``), so every tenant asking
-for the same weighting shares one instance — the identity the
-:class:`ContextStore` keys on.
+Weight functions are resolved by name (``"size"``, ``"bits"``,
+``"size_minus_one"``) and keyed by value, so every tenant asking for
+the same weighting on a table version shares its lattices.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from repro.errors import (
     ShardError,
     SnapshotError,
 )
-from repro.serving.catalog import WEIGHT_FUNCTIONS, TableCatalog
+from repro.serving.catalog import WEIGHT_FUNCTIONS, TableCatalog, resolve_weight
 from repro.serving.contexts import ContextStore
 from repro.serving.faults import ChaosPolicy
 from repro.serving.persistence import (
@@ -62,7 +61,7 @@ from repro.session.session import DrillDownSession, SessionNode
 from repro.table.table import Table
 
 #: Re-exported from :mod:`repro.serving.catalog`, where the weight
-#: registry lives.
+#: resolver lives.
 __all__ = ["DrillDownServer", "WEIGHT_FUNCTIONS"]
 
 
@@ -355,7 +354,7 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
                 self.restored += 1
 
     def unregister_table(self, name: str) -> None:
-        """Forget a table; drop its context prototypes and weight cache."""
+        """Forget a table; drop its context prototypes."""
         try:
             table = self.catalog.get(name)
         except ServingError:
@@ -366,17 +365,6 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
 
     def tables(self) -> tuple[str, ...]:
         return self.catalog.names()
-
-    # -- weight registry ---------------------------------------------------------
-
-    def weight(self, spec: str | WeightFunction, table: Table) -> WeightFunction:
-        """Resolve a weighting name to the catalog's shared instance.
-
-        Delegates to :meth:`TableCatalog.weight`, so every tenant
-        session resolves the *same* instances (the identity the
-        :class:`~repro.serving.ContextStore` keys on).
-        """
-        return self.catalog.weight(spec, table)
 
     # -- sessions ----------------------------------------------------------------
 
@@ -433,7 +421,7 @@ ReaperThread` enforcing TTL expiry (and checkpointing) without
         session (``state=``, a snapshot) cannot be configured differently
         from a fresh one (``k``/``mw``/``measure`` in ``config``)."""
         shared = dict(
-            wf=self.weight(wf, source),
+            wf=resolve_weight(wf, source),
             tenant=tenant,
             context_store=self.contexts,
             samples=self.catalog.samples_for(name),

@@ -23,8 +23,8 @@ and the protocol both sides speak:
   :data:`~repro.serving.faults.OPS`;
   the worker decodes a ``rule`` argument, calls the verb with the
   frame's arguments and encodes any :class:`SessionNode` in the
-  result.  Only ``ping``, ``register_table``, ``append_rows`` and
-  ``replace_table`` have bodies of their own.
+  result.  Only ``ping``, ``register_table``, ``create_session``,
+  ``append_rows`` and ``replace_table`` have bodies of their own.
 * **Error encoding** — a typed :class:`~repro.errors.ReproError`
   raised by the shard's server is sent back by class name and
   re-raised *as itself* on the router side, so the HTTP error mapping
@@ -166,17 +166,25 @@ def _op_ping(server, args: dict) -> dict:
 def _op_register_table(server, args: dict) -> dict:
     table = decode_table(args["table"])
     server.register_table(args["name"], table)
-    # Report every live session with its table: after a warm restart
-    # the router learns the restored ids (and their routing table)
-    # from this list.
+    # Report every live session with its columns: after a warm restart
+    # the router learns the restored ids (and the schema of the version
+    # each one pinned) from this list.
     return {
         "rows": table.n_rows,
         "columns": list(table.column_names),
         "version": server.catalog.latest_version(args["name"]),
         "sessions": [
-            [e.session_id, e.table, e.table_version]
+            [e.session_id, list(e.session.column_names)]
             for e in server.registry.entries()
         ],
+    }
+
+
+def _op_create_session(server, args: dict) -> dict:
+    session_id = server.create_session(**args)
+    return {
+        "session_id": session_id,
+        "columns": list(server.session_columns(session_id)),
     }
 
 
@@ -192,6 +200,7 @@ def _op_replace_table(server, args: dict) -> dict:
 _OWN_BODY_OPS = {
     "ping": _op_ping,
     "register_table": _op_register_table,
+    "create_session": _op_create_session,
     "append_rows": _op_append_rows,
     "replace_table": _op_replace_table,
 }

@@ -178,12 +178,12 @@ def test_lock_blocking_hold_helper_counts_as_lock():
 
 
 def test_lock_blocking_condition_wait_not_flagged():
-    # FairScheduler's dispatch gate: Condition.wait releases the lock,
-    # so waiting under the condition is the *correct* pattern.
+    # Condition.wait releases the lock, so waiting under the condition
+    # is the *correct* pattern.
     findings = lint(
         """
-        class FairScheduler:
-            def dispatch_turn(self, tenant):
+        class Gate:
+            def take_turn(self, tenant):
                 with self._cond:
                     while not self._my_turn(tenant):
                         self._cond.wait()

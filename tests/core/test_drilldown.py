@@ -347,10 +347,14 @@ class TestFreeColumnLattice:
     def test_reexpansion_reuses_the_context(self, tiny_table, max_rule_size):
         """The size limit counts free columns in the constructor *and*
         in the compatibility check, so a retained context still serves."""
-        parent, wf = Rule(["a", STAR, STAR]), SizeWeight()  # contexts key on the wf instance
-        first = rule_drilldown(tiny_table, parent, wf, 2, 3.0, max_rule_size=max_rule_size)
+        parent = Rule(["a", STAR, STAR])
+        first = rule_drilldown(
+            tiny_table, parent, SizeWeight(), 2, 3.0, max_rule_size=max_rule_size
+        )
+        # Contexts key the weighting by value: an equal, fresh instance serves.
         again = rule_drilldown(
-            tiny_table, parent, wf, 2, 3.0, max_rule_size=max_rule_size, context=first.context
+            tiny_table, parent, SizeWeight(), 2, 3.0, max_rule_size=max_rule_size,
+            context=first.context,
         )
         assert again.context is first.context
         assert again.stats.cache_hits > 0

@@ -237,7 +237,9 @@ class TestContextReuse:
         with pytest.raises(RuleError):
             brs(tiny_table, wf, 2, 3.0, prune=False, context=ctx)
         with pytest.raises(RuleError):
-            brs(tiny_table, SizeWeight(), 2, 3.0, context=ctx)  # different wf object
+            brs(tiny_table, SizeMinusOneWeight(), 2, 3.0, context=ctx)  # different wf
+        # Weightings compare by value: an equal, fresh instance is compatible.
+        assert brs(tiny_table, SizeWeight(), 2, 3.0, context=ctx).rules
 
 
 class TestDrilldownReuse:

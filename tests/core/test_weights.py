@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -21,9 +21,10 @@ from repro.core import (
     bits_per_column,
     validate_weight_function,
 )
+from repro.core.drilldown import drilldown_tag
 from repro.core.weights import all_column_subsets
 from repro.errors import WeightFunctionError
-from repro.table import Table
+from repro.table import Schema, Table
 
 
 class TestSizeWeight:
@@ -205,3 +206,102 @@ class TestMonotonicityProperties:
             ParametricWeight([1.0, 0.5, 2.0, 1.0, 0.0], exponent=0.5),
         ):
             assert wf.weight_of_columns(s) >= 0.0
+
+
+# -- keys: a weighting is identified by its value ------------------------------
+
+_N_COLUMNS = 3
+
+
+@st.composite
+def _tables(draw):
+    """A 3-column table with 1–5 distinct values per column."""
+    distinct = draw(st.lists(st.integers(1, 5), min_size=_N_COLUMNS, max_size=_N_COLUMNS))
+    rows = [tuple(f"v{r % d}" for d in distinct) for r in range(max(distinct))]
+    return Table.from_rows(Schema.categorical(["a", "b", "c"]), rows)
+
+
+_columns = st.integers(0, _N_COLUMNS - 1)
+_specs = st.tuples(
+    st.sampled_from(["size", "bits", "size_minus_one", "parametric", "column"]),
+    st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=_N_COLUMNS, max_size=_N_COLUMNS),
+    st.sampled_from([0.5, 1.0, 2.0]),
+    _columns,
+    st.sampled_from([None, "star", "merged"]),
+    st.dictionaries(_columns, st.sampled_from(["v0", "v1"])),
+)
+
+
+def _build(spec, table):
+    """One built-in weighting over ``table``, drill-down wrappers included."""
+    kind, weights, exponent, column, wrapper, parent = spec
+    wf = {
+        "size": SizeWeight,
+        "bits": lambda: BitsWeight.for_table(table),
+        "size_minus_one": SizeMinusOneWeight,
+        "parametric": lambda: ParametricWeight(weights, exponent),
+        "column": lambda: ColumnIndicatorWeight(column),
+    }[kind]()
+    if wrapper == "star":
+        return StarConstrainedWeight(wf, column)
+    if wrapper == "merged":
+        return MergedWeight(wf, Rule.from_items(_N_COLUMNS, parent))
+    return wf
+
+
+class TestKeys:
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_equal_keys_mean_equal_weights(self, data):
+        spec = data.draw(_specs)
+        other = data.draw(st.one_of(st.just(spec), _specs))
+        a, b = _build(spec, data.draw(_tables())), _build(other, data.draw(_tables()))
+        if a.key() != b.key():
+            return
+        for columns in all_column_subsets(_N_COLUMNS):
+            for value in ("v0", "v1"):
+                rule = Rule.from_items(_N_COLUMNS, {c: value for c in columns})
+                assert a.weight(rule) == b.weight(rule)
+            fa, fb = a.column_set_weight(), b.column_set_weight()
+            assert fa(columns) == fb(columns)
+
+    def test_fresh_builtins_compare_equal(self, tiny_table):
+        for make in (
+            SizeWeight,
+            SizeMinusOneWeight,
+            lambda: BitsWeight.for_table(tiny_table),
+            lambda: ParametricWeight([1.0, 2.0, 0.0], exponent=2.0),
+            lambda: ColumnIndicatorWeight(1),
+            lambda: StarConstrainedWeight(SizeWeight(), 2),
+            lambda: MergedWeight(SizeWeight(), Rule(["a", STAR, STAR])),
+        ):
+            assert make() is not make() and make().key() == make().key()
+            assert hash(make().key()) == hash(make().key())
+        assert SizeWeight().key() != SizeMinusOneWeight().key()
+        assert StarConstrainedWeight(SizeWeight(), 1).key() != StarConstrainedWeight(
+            SizeWeight(), 2
+        ).key()
+
+    def test_bits_key_changes_when_an_append_crosses_a_power_of_two(self):
+        table = Table.from_rows(["A", "B"], [("a", "x"), ("b", "x"), ("a", "y")])
+        bits = BitsWeight.for_table(table)
+        same = BitsWeight.for_table(table.append_rows([("b", "y")]))
+        grown = BitsWeight.for_table(table.append_rows([("c", "y")]))
+        assert same.key() == bits.key()
+        assert grown.key() != bits.key()
+        assert grown.weight_of_columns((0,)) != bits.weight_of_columns((0,))
+
+    def test_callables_over_one_function_stay_distinct(self):
+        def fn(rule):
+            return float(rule.size)
+
+        a, b = CallableWeight(fn), CallableWeight(fn)
+        assert a.key() == a.key() and a.key() != b.key()
+        tag = dict(measure=None, mw=3.0)
+        root = Rule.trivial(2)
+        assert drilldown_tag("rule", root, None, wf=a, **tag) != drilldown_tag(
+            "rule", root, None, wf=b, **tag
+        )
+        assert drilldown_tag("rule", root, None, wf=SizeWeight(), **tag) == drilldown_tag(
+            "rule", root, None, wf=SizeWeight(), **tag
+        )

@@ -174,8 +174,9 @@ class TestStore:
         store.publish(retail, tag, SearchContext(retail, wf, 3.0))
         assert store.lease(tiny_table, tag) is None  # other table
         assert store.lease(retail, _tag(wf, mw=4.0)) is None  # other mw
-        other_wf = SizeWeight()  # equal config, different instance
-        assert store.lease(retail, _tag(other_wf)) is None
+        assert store.lease(retail, _tag(SizeMinusOneWeight())) is None  # other wf
+        # Weightings are keyed by value: an equal, fresh instance hits.
+        assert store.lease(retail, _tag(SizeWeight())) is not None
 
     def test_drop_table_and_clear(self, retail, tiny_table, wf):
         store = ContextStore()

@@ -3,9 +3,8 @@
 Three layers under test, composed bottom-up:
 
 * unit drills with fake clocks — :class:`CircuitBreaker` transitions,
-  :class:`ChaosPolicy` occurrence windows, the fair scheduler's
-  deadline-bounded dispatch wait, the in-process server's deadline
-  admission and budget refund;
+  :class:`ChaosPolicy` occurrence windows, the in-process server's
+  deadline admission and budget refund;
 * the contract that the fault layer is *pure overhead on the happy
   path* — a tier with deadlines on answers bit-identically to one
   without (also pinned tier-wide by the replay harness in
@@ -42,7 +41,6 @@ from repro.serving import (
     ShardWatchdog,
 )
 from repro.serving.faults import OPS
-from repro.serving.scheduler import FairScheduler
 from repro.serving.shard import decode_error, encode_error
 
 pytestmark = pytest.mark.chaos
@@ -220,66 +218,6 @@ class TestShardWatchdog:
     def test_validation(self):
         with pytest.raises(ServingError):
             ShardWatchdog(probe=lambda: [], interval=0.0)
-
-
-# -- scheduler deadlines ---------------------------------------------------------
-
-
-class TestSchedulerDeadlines:
-    def test_expired_deadline_aborts_and_withdraws_the_ticket(self):
-        clock = FakeClock()
-        scheduler = FairScheduler(clock=clock)
-        gate = scheduler.dispatch_turn("a")
-        gate.__enter__()  # tenant a holds the turn
-        with pytest.raises(DeadlineExceededError) as info:
-            with scheduler.dispatch_turn("b", deadline_at=clock.now - 1.0):
-                pass  # pragma: no cover - never dispatched
-        assert info.value.retry_after == 1.0
-        assert scheduler.deadline_aborts == 1
-        # The abandoned ticket must not leave a ghost tenant blocking
-        # rotation.
-        assert "b" not in scheduler._queues and "b" not in scheduler._ring
-        gate.__exit__(None, None, None)
-        with scheduler.dispatch_turn("b"):
-            pass
-        assert scheduler.stats()["deadline_aborts"] == 1
-
-    def test_abandoning_a_ticket_of_the_active_tenant_keeps_ring_sane(self):
-        """The turn-holder's own tenant abandons a *second* ticket: the
-        tenant must stay in the ring (the holder's release cleans up),
-        and the release path must not double-free."""
-        clock = FakeClock()
-        scheduler = FairScheduler(clock=clock)
-        gate = scheduler.dispatch_turn("a")
-        gate.__enter__()
-        with pytest.raises(DeadlineExceededError):
-            with scheduler.dispatch_turn("a", deadline_at=clock.now):
-                pass  # pragma: no cover
-        gate.__exit__(None, None, None)
-        assert "a" not in scheduler._ring and "a" not in scheduler._queues
-        with scheduler.dispatch_turn("a"):
-            pass
-        assert scheduler.dispatches == 2
-
-    def test_future_deadline_waits_then_aborts_in_real_time(self):
-        scheduler = FairScheduler()  # real monotonic clock
-        gate = scheduler.dispatch_turn("holder")
-        gate.__enter__()
-        start = time.monotonic()
-        with pytest.raises(DeadlineExceededError):
-            with scheduler.dispatch_turn(
-                "waiter", deadline_at=time.monotonic() + 0.2
-            ):
-                pass  # pragma: no cover
-        elapsed = time.monotonic() - start
-        assert 0.1 <= elapsed < 10.0  # really waited, then really gave up
-        gate.__exit__(None, None, None)
-
-    def test_no_deadline_keeps_the_blocking_contract(self):
-        scheduler = FairScheduler()
-        with scheduler.dispatch_turn("only"):
-            pass
-        assert scheduler.deadline_aborts == 0
 
 
 # -- the in-process server -------------------------------------------------------

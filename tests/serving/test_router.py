@@ -404,6 +404,7 @@ class TestCrashRecovery:
                 router.register_table(name, table)
             for name, sid in sids.items():
                 assert router.render(sid) == renders[name]
+                assert router.session_columns(sid) == tables[name].column_names
             stats = router.stats()
             assert stats["sessions"] == len(sids)
 

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.core import BitsWeight, Rule
+from repro.core import BitsWeight, Rule, SizeWeight
 from repro.errors import (
     ServingError,
     TenantBudgetError,
@@ -21,6 +21,7 @@ from repro.errors import (
     UnknownTableError,
 )
 from repro.serving import DrillDownServer
+from repro.serving.catalog import resolve_weight
 from repro.session import DrillDownSession
 from repro.table import Table
 
@@ -44,12 +45,6 @@ class TestTables:
     def test_unknown_weight_function(self, server):
         with pytest.raises(ServingError, match="unknown weight function"):
             server.create_session("retail", wf="heaviness")
-
-    def test_weight_instances_shared_per_name(self, server, retail, tiny_table):
-        assert server.weight("size", retail) is server.weight("size", retail)
-        assert server.weight("bits", retail) is not server.weight("size", retail)
-        # Bits weighting is table-derived: distinct per table.
-        assert server.weight("bits", retail) is not server.weight("bits", tiny_table)
 
 
 class TestAcceptance:
@@ -150,15 +145,6 @@ class TestAcceptance:
         with DrillDownServer(share_contexts=injected) as server:
             assert server.contexts is injected
 
-    def test_unregister_purges_weight_cache(self, server, retail):
-        bits = server.weight("bits", retail)
-        assert server.weight("bits", retail) is bits
-        server.unregister_table("retail")
-        assert server.catalog._weights == {}
-        server.register_table("retail", retail)
-        # Re-registration rebuilds cleanly (fresh instance is fine).
-        assert server.weight("bits", retail) is not None
-
     def test_collapse_and_rerender_free_of_charge(self, retail):
         with DrillDownServer(tenant_budget=6_000) as server:
             server.register_table("retail", retail)
@@ -255,19 +241,31 @@ class TestSharedContexts:
         assert transcripts[0] == transcripts[1]
         assert transcripts[0][0] == _standalone_children(retail)
 
-    def test_bits_tenants_share_one_lattice(self, retail):
-        """``bits`` weights derive from the table; the server hands
-        every tenant the same instance, so they still share."""
+    @pytest.mark.parametrize(
+        "make_wf",
+        [
+            lambda table: "bits",
+            lambda table: "size",
+            BitsWeight.for_table,
+            lambda table: SizeWeight(),
+        ],
+        ids=["bits", "size", "BitsWeight", "SizeWeight"],
+    )
+    def test_equal_weightings_share_one_lattice(self, retail, make_wf):
+        """Weightings are keyed by value: each session resolves its own
+        weighting (a fresh instance per session for the object cases),
+        and equal weightings still lease one lattice."""
         with DrillDownServer() as server:
             server.register_table("retail", retail)
             sids = [
-                server.create_session("retail", wf="bits", k=3, mw=3.0) for _ in range(2)
+                server.create_session("retail", wf=make_wf(retail), k=3, mw=3.0)
+                for _ in range(2)
             ]
             got = [_children(server.expand(sid)) for sid in sids]
-            assert got[0] == got[1] == _standalone_children(
-                retail, wf=BitsWeight.for_table(retail)
-            )
-            assert server.contexts.stats()["hits"] == 1
+            wf = resolve_weight(make_wf(retail), retail)
+            assert got[0] == got[1] == _standalone_children(retail, wf=wf)
+            stats = server.contexts.stats()
+            assert (stats["hits"], stats["prototypes"]) == (1, 1)
 
 
 class TestLifecycle:

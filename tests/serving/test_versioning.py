@@ -11,6 +11,8 @@ when their last pinned session closes, and reaping (like
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,10 @@ from repro.errors import (
     UnknownTableError,
 )
 from repro.serving import DrillDownServer, ShardRouter, TableCatalog, TableVersion
+from repro.serving.http import serve
 from repro.table import Schema, Table
 from tests.conftest import random_table
+from tests.serving.test_http import call
 
 SCHEMA = Schema.categorical(["A", "B", "C"])
 BASE_ROWS = [
@@ -189,6 +193,55 @@ class TestEquivalencePin:
             tier.register_table("t", tiny_table)
             with pytest.raises(ServingError):
                 tier.append_rows("t", [])
+
+
+# -- a pinned session keeps its version's schema -------------------------------
+
+
+class TestPinnedSchema:
+    """A session opened before a schema-changing replace answers with
+    the columns of the version it pinned, on both backends and over
+    HTTP, whose expand decodes a rule against those columns."""
+
+    @pytest.mark.parametrize(
+        "make_tier",
+        [pytest.param(DrillDownServer, id="server"),
+         pytest.param(lambda: ShardRouter(1), id="router-1")],
+    )
+    def test_pinned_session_keeps_its_columns(self, make_tier):
+        old = Table.from_rows(Schema.categorical(["a", "b"]), [("x", "p"), ("y", "q")])
+        new = Table.from_rows(
+            Schema.categorical(["c", "d", "e"]), [("1", "2", "3"), ("4", "5", "6")]
+        )
+        tier = make_tier()
+        httpd = serve(tier, port=0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        host, port = httpd.server_address[:2]
+        base = f"http://{host}:{port}"
+        try:
+            tier.register_table("t", old)
+            status, created = call(base, "POST", "/sessions", {"table": "t", "k": 2, "mw": 1.0})
+            assert status == 201 and created["columns"] == ["a", "b"]
+            sid = created["session_id"]
+            tier.replace_table("t", new)
+            fresh = tier.create_session("t")
+            assert tier.session_columns(sid) == ("a", "b")
+            assert tier.session_columns(fresh) == ("c", "d", "e")
+
+            status, _ = call(
+                base, "POST", f"/sessions/{sid}/expand", {"rule": [None, None]}
+            )
+            assert status == 200
+            status, body = call(base, "GET", f"/sessions/{sid}")
+            assert status == 200
+            tree = body["tree"]
+            assert tree["rule"] == [None, None] and tree["expanded"]
+            assert {len(child["rule"]) for child in tree["children"]} == {2}
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            tier.close()
 
 
 # -- catalog version records ---------------------------------------------------
