@@ -4,12 +4,14 @@
         --seeds 7 11 13 17 19 23 29 31 37 41
 
 ``PARENT`` and ``CHANGE`` are two checkouts of this repository (a
-``git clone`` or ``git worktree`` of each commit).  Per seed it runs
-``benchmarks/e2e/run.py --trace 0`` once in each, the side that goes
-first alternating from pair to pair, and prints the table
+``git clone`` or ``git archive`` export of each commit).  Per seed it
+runs ``benchmarks/e2e/run.py --trace 0`` once in each, the side that
+goes first alternating from pair to pair, and prints the table
 ``docs/EXPERIMENTS.md`` records for a performance claim: median
 [quartiles] per side, change / parent ratio of the medians, and pairs
-won by the change (ties count for neither side).  The metric names and
+won by the change (ties count for neither side).  ``--trace 1`` runs
+the per-layer pass instead and pairs its witnesses (e.g.
+``serving.catalog.register_ms``) the same way.  The metric names and
 their better-direction come from the parent's ``BENCHMARK.json``; this
 script edits nothing and keeps no record of its own.
 """
@@ -24,10 +26,10 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced run in ``checkout``: ``{metric name: value}``."""
+def run_once(checkout: Path, workload: str, seed: int, trace: int = 0) -> dict:
+    """One run of pass ``trace`` in ``checkout``: ``{metric name: value}``."""
     cmd = [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", "0"]
+           "--seed", str(seed), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -68,18 +70,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("change", type=Path, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="0 = end-to-end metrics, 1 = per-layer metrics")
     args = parser.parse_args(argv)
-    metrics = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    declared = json.loads((args.parent / "BENCHMARK.json").read_text())
+    metrics = declared["per_layer" if args.trace else "end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            latest = run_once(sides[side], args.workload, seed)
+            latest = run_once(sides[side], args.workload, seed, args.trace)
             runs[side].append(latest)
             print(f"# pair {i + 1}/{len(args.seeds)} seed {seed} {side}: {json.dumps(latest)}",
                   file=sys.stderr, flush=True)
-    print(f"`{args.workload}`, {len(args.seeds)} alternating pairs, seeds "
+    print(f"`{args.workload}` {('end-to-end', 'per-layer')[args.trace]}, "
+          f"{len(args.seeds)} alternating pairs, seeds "
           f"{' '.join(map(str, args.seeds))}, median [quartiles]:\n")
     print("\n".join(table(metrics, runs["parent"], runs["change"])))
     return 0

@@ -22,14 +22,23 @@ Floats round-trip bit-exactly through JSON's ``repr``-based encoding.
 Decoding is strict: a wrong tag, arity or payload type raises
 :class:`~repro.errors.SnapshotError` rather than coercing.
 
-Tables travel as dictionary + codes per categorical column and float
-data per numeric column.  The dictionary *order* is preserved, so the
-decoded table's integer codes — and therefore every mining tie-break —
-are identical to the original's.
+Tables cross the router-to-shard pipe, and only that pipe (snapshots
+and sample sets never carry one), as packed column bytes: each column
+is one base64 string of its raw little-endian array plus a dtype tag.
+Categorical codes use the narrowest unsigned type that holds
+``len(values) - 1`` (``|u1``, ``<u2`` or ``<u4``) beside their
+tagged-value dictionary; numeric data is ``<f8``, so NaN, ``-0.0`` and
+the infinities survive bit for bit.  The dictionary *order* is
+preserved, so the decoded table's integer codes — and therefore every
+mining tie-break — are identical to the original's.  A bad tag, a
+payload that is not base64 text, or a byte length other than
+``rows × itemsize`` raises :class:`~repro.errors.SnapshotError`.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 from typing import Any
 
 import numpy as np
@@ -125,43 +134,85 @@ def decode_rule(encoded: Any) -> Rule:
     return Rule([decode_value(v) for v in encoded])
 
 
+#: Wire dtypes of categorical codes, narrowest first.
+_CODE_DTYPES = ("|u1", "<u2", "<u4")
+_NUMERIC_DTYPE = "<f8"
+
+
+def _pack(array: np.ndarray, dtype: str) -> str:
+    return base64.b64encode(array.astype(dtype, copy=False).tobytes()).decode("ascii")
+
+
+def _unpack(payload: Any, dtype: Any, allowed: tuple[str, ...], rows: int) -> np.ndarray:
+    """Invert :func:`_pack`: the column's ``rows`` values, strictly."""
+    if dtype not in allowed:
+        raise SnapshotError(f"unknown column dtype tag {dtype!r}")
+    if not isinstance(payload, str):
+        raise SnapshotError(f"column payload is {type(payload).__name__}, not base64 text")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except (binascii.Error, ValueError) as exc:
+        raise SnapshotError(f"column payload is not valid base64: {exc}") from None
+    itemsize = np.dtype(dtype).itemsize
+    if len(raw) != rows * itemsize:
+        raise SnapshotError(
+            f"column payload holds {len(raw)} bytes, expected {rows} rows × {itemsize}"
+        )
+    return np.frombuffer(raw, dtype=dtype)
+
+
 def encode_table(table: Table) -> dict:
-    """A table as JSON: per-column dictionary + codes (categorical) or
-    float data (numeric)."""
+    """A table as JSON: per-column dictionary + packed codes (categorical)
+    or packed float data (numeric)."""
     columns = []
     for col_schema in table.schema:
         if col_schema.is_categorical:
             col = table.categorical(col_schema.name)
+            top = max(len(col.values) - 1, 0)
+            dtype = next(d for d in _CODE_DTYPES if top <= np.iinfo(d).max)
             columns.append(
                 {
                     "kind": "categorical",
                     "name": col_schema.name,
                     "values": [encode_value(v) for v in col.values],
-                    "codes": col.codes.tolist(),
+                    "dtype": dtype,
+                    "codes": _pack(col.codes, dtype),
                 }
             )
         else:
-            col = table.numeric(col_schema.name)
             columns.append(
-                {"kind": "numeric", "name": col_schema.name, "data": col.data.tolist()}
+                {
+                    "kind": "numeric",
+                    "name": col_schema.name,
+                    "dtype": _NUMERIC_DTYPE,
+                    "data": _pack(table.numeric(col_schema.name).data, _NUMERIC_DTYPE),
+                }
             )
     return {"columns": columns, "rows": table.n_rows}
 
 
-def decode_table(spec: dict) -> Table:
-    """Invert :func:`encode_table`."""
-    entries: list[ColumnSchema] = []
-    columns: list[CategoricalColumn | NumericColumn] = []
-    for col in spec["columns"]:
-        if col["kind"] == "categorical":
-            entries.append(ColumnSchema(col["name"], ColumnKind.CATEGORICAL))
-            columns.append(
-                CategoricalColumn(
-                    np.asarray(col["codes"], dtype=np.int32),
-                    [decode_value(v) for v in col["values"]],
-                )
-            )
-        else:
-            entries.append(ColumnSchema(col["name"], ColumnKind.NUMERIC))
-            columns.append(NumericColumn(np.asarray(col["data"], dtype=np.float64)))
+def decode_table(spec: Any) -> Table:
+    """Invert :func:`encode_table`; strict about tags, payloads and lengths."""
+    try:
+        rows = spec["rows"]
+        if type(rows) is not int:
+            raise SnapshotError(f"malformed encoded table row count: {rows!r}")
+        entries: list[ColumnSchema] = []
+        columns: list[CategoricalColumn | NumericColumn] = []
+        for col in spec["columns"]:
+            # The column constructors widen codes to int32 and data to
+            # native float64.
+            if col["kind"] == "categorical":
+                codes = _unpack(col["codes"], col["dtype"], _CODE_DTYPES, rows)
+                values = [decode_value(v) for v in col["values"]]
+                entries.append(ColumnSchema(col["name"], ColumnKind.CATEGORICAL))
+                columns.append(CategoricalColumn(codes, values))
+            elif col["kind"] == "numeric":
+                data = _unpack(col["data"], col["dtype"], (_NUMERIC_DTYPE,), rows)
+                entries.append(ColumnSchema(col["name"], ColumnKind.NUMERIC))
+                columns.append(NumericColumn(data))
+            else:
+                raise SnapshotError(f"unknown column kind {col['kind']!r}")
+    except (KeyError, TypeError) as exc:
+        raise SnapshotError(f"malformed encoded table: {exc!r}") from None
     return Table(Schema(entries), columns)

@@ -451,9 +451,11 @@ class ShardRouter:
         * circuit open → :class:`~repro.errors.CircuitOpenError`
           immediately (no pipe traffic; ``retry_after`` = remaining
           cooldown);
-        * shard busy past the deadline (request never sent) →
+        * deadline spent before the request was sent (the shard was
+          busy, or the budget was already gone) →
           :class:`~repro.errors.DeadlineExceededError`, breaker *not*
-          charged — saturation is not sickness;
+          charged and the worker left alone — saturation is not
+          sickness;
         * shard wedged past the deadline (request sent, no reply) →
           kill + restart, then ``DeadlineExceededError``;
         * typed application error from the shard → breaker *success*
@@ -475,15 +477,16 @@ class ShardRouter:
         try:
             result = shard.request(op, args, timeout=deadline)
         except ShardBusyError as exc:
-            # The shard's request lock stayed held for the whole
-            # deadline: the request was never sent, the handle stays
-            # usable, and a half-open probe slot (if we held one) is
-            # returned rather than spent on an inconclusive outcome.
+            # The deadline ran out before the frame was sent (the
+            # request lock stayed held, or the budget came in spent):
+            # the handle stays usable, and a half-open probe slot (if we
+            # held one) is returned rather than spent on an
+            # inconclusive outcome.
             breaker.cancel_probe()
             self.deadline_aborts += 1
             raise DeadlineExceededError(
-                f"shard {shard.index} was busy past the {deadline}s deadline "
-                f"for {op!r} — the request was never sent",
+                f"shard {shard.index} could not be sent {op!r} within the "
+                f"{deadline}s deadline — the request was never sent",
                 retry_after=1.0,
             ) from exc
         except ShardWedgedError as exc:
@@ -763,7 +766,16 @@ class ShardRouter:
         self, session_id: str, *, deadline: float | None = None
     ) -> tuple[str, ...]:
         """Column names of the table version the session pinned —
-        answered from the router's own map, no pipe round trip."""
+        answered from the router's own map, no pipe round trip.  A
+        spent ``deadline`` fails admission, as in process."""
+        deadline = self._default_deadline if deadline is None else deadline
+        if deadline is not None and deadline <= 0:
+            self.deadline_aborts += 1
+            raise DeadlineExceededError(
+                f"deadline budget of {deadline:g}s was already spent before "
+                "any work ran",
+                retry_after=1.0,
+            )
         return self._session_shard(session_id)[1]
 
     def close_session(self, session_id: str) -> bool:

@@ -13,11 +13,12 @@ and the protocol both sides speak:
   response, matched by ``id``; the router serialises requests per
   shard, so the pipe never interleaves frames.
 * **Value encoding** — one codec for everything a frame carries:
-  rules and tables in the tagged-array form of :mod:`repro.codec`,
-  displayed nodes via :func:`~repro.session.session.encode_node`
-  (the snapshot files' own node form).  Counts and weights round-trip
-  bit-exactly, and a decoded table's dictionary codes — hence every
-  mining tie-break — match the original's.
+  rules in the tagged-array form of :mod:`repro.codec`, tables as its
+  packed column bytes, displayed nodes via
+  :func:`~repro.session.session.encode_node` (the snapshot files' own
+  node form).  Counts and weights round-trip bit-exactly, and a
+  decoded table's dictionary codes — hence every mining tie-break —
+  match the original's.
 * **One verb dispatcher** — an op names a
   :class:`~repro.serving.DrillDownServer` verb from
   :data:`~repro.serving.faults.OPS`;
@@ -83,10 +84,11 @@ class ShardWedgedError(TimeoutError):
 
 
 class ShardBusyError(TimeoutError):
-    """The handle lock could not be acquired within the deadline: the
-    shard is saturated serving *other* requests, not proven sick.  The
-    pipe was never touched — the handle stays usable and the breaker
-    is not charged."""
+    """The deadline ran out before the request was sent: the handle
+    lock could not be acquired in time (the shard is saturated serving
+    *other* requests, not proven sick), or the budget was already
+    spent.  The pipe was never touched — the handle stays usable and
+    the breaker is not charged."""
 
 
 # -- wire encoding: errors -------------------------------------------------------
@@ -425,9 +427,9 @@ class ShardProcess:
         whole round trip — *including* waiting for the handle lock
         behind other threads' requests — is bounded:
 
-        * lock not acquired in time → :class:`ShardBusyError` (the
-          shard is saturated, not proven sick; the handle stays
-          usable),
+        * lock not acquired in time, or no budget left once it is →
+          :class:`ShardBusyError` (the frame is never sent; the handle
+          stays usable),
         * reply not received in time → :class:`ShardWedgedError`, and
           the handle is **condemned** — a late reply would desync the
           request/response stream, so the worker must be killed and
@@ -448,6 +450,14 @@ class ShardProcess:
                 raise BrokenPipeError(
                     f"shard {self.index} handle was condemned after an earlier "
                     "missed deadline"
+                )
+            # A spent budget must not reach the pipe: with no time left to
+            # wait for the reply, the worker would be condemned for nothing.
+            # repro-lint: allow[clock-discipline] reason=pipe deadlines bound real OS waits (lock timeout, poll); no test seam crosses the process boundary
+            if deadline_at is not None and time.monotonic() >= deadline_at:
+                raise ShardBusyError(
+                    f"shard {self.index}: the {timeout}s deadline for {op!r} "
+                    "was spent before the request could be sent"
                 )
             # repro-lint: allow[clock-discipline] reason=busy_since feeds the watchdog's real-time wedge clock across threads
             self.busy_since = time.monotonic()

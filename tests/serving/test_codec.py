@@ -1,5 +1,6 @@
 """The one internal JSON codec: strict decoding, the pinned v1 snapshot
-bytes, and append errors that do not depend on the backend.
+bytes, packed tables on the shard pipe, and append errors that do not
+depend on the backend.
 
 ``fixtures/snapshot_v1/sess-000001.jsonl`` was written by the snapshot
 code as it stood before rules, nodes and records moved into
@@ -15,15 +16,19 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.codec import decode_rule
+from repro.codec import decode_rule, decode_table, encode_table
+from repro.datasets import generate_census
 from repro.errors import ReproError, SnapshotError
 from repro.serving import DrillDownServer, SessionSnapshot, ShardRouter, SnapshotStore
 from repro.serving.persistence import SNAPSHOT_VERSION
 from repro.session import DrillDownSession
 from repro.table import Schema, Table
 from repro.table.bucketize import Interval
+from repro.table.column import CategoricalColumn, NumericColumn
+from repro.table.schema import ColumnKind, ColumnSchema
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SNAPSHOT = FIXTURES / "snapshot_v1" / "sess-000001.jsonl"
@@ -134,6 +139,107 @@ def test_defects_raise_snapshot_error(defect, v1_store):
     # load_all never raises: the one file either loads or is counted.
     loaded = v1_store.load_all()
     assert len(loaded) + v1_store.stats()["skipped_corrupt"] == 1
+
+
+# -- packed tables on the shard pipe --------------------------------------------------
+
+
+def _pipe(table: Table) -> Table:
+    """``table`` through the codec and a JSON text frame, as the pipe does."""
+    return decode_table(json.loads(json.dumps(encode_table(table))))
+
+
+def _mixed(codes, values, data) -> Table:
+    schema = Schema(
+        [ColumnSchema("c", ColumnKind.CATEGORICAL), ColumnSchema("x", ColumnKind.NUMERIC)]
+    )
+    return Table(schema, [CategoricalColumn(codes, values), NumericColumn(data)])
+
+
+class TestPackedTables:
+    def test_numeric_bits_survive(self):
+        data = np.array(
+            [np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -2.5e-310, 1.5, -1e308]
+        )
+        payload_nan = np.array([0x7FF8_0000_0000_00AB], dtype=np.uint64).view(np.float64)
+        data = np.concatenate([data, payload_nan])
+        table = _mixed(np.zeros(data.size, dtype=np.int32), ["only"], data)
+        decoded = _pipe(table).numeric("x").data
+        assert decoded.dtype == np.float64
+        assert decoded.view(np.uint64).tolist() == data.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize(
+        ("n_values", "tag"),
+        [(1, "|u1"), (256, "|u1"), (257, "<u2"), (65_536, "<u2"), (65_537, "<u4")],
+    )
+    def test_codes_use_the_narrowest_dtype_and_widen_back(self, n_values, tag):
+        rng = np.random.default_rng(n_values)
+        codes = np.concatenate([np.arange(n_values), rng.integers(n_values, size=50)])
+        codes[[0, -1]] = n_values - 1, 0  # the top code, first and last
+        values = [f"v{(i * 7919) % n_values}" for i in range(n_values)]
+        table = _mixed(codes, values, np.arange(codes.size, dtype=np.float64))
+        assert encode_table(table)["columns"][0]["dtype"] == tag
+        decoded = _pipe(table)
+        column = decoded.categorical("c")
+        assert column.codes.dtype == np.int32
+        assert column.codes.tolist() == codes.tolist()
+        assert column.values == table.categorical("c").values  # order kept
+        assert decoded == table
+
+    def test_zero_row_table(self):
+        table = _mixed(np.zeros(0, dtype=np.int32), [], np.zeros(0))
+        decoded = _pipe(table)
+        assert decoded.n_rows == 0
+        assert decoded.schema == table.schema
+        assert decoded == table
+
+    def test_census_frame_stays_small(self):
+        table = generate_census(50_000, n_columns=6)
+        frame = json.dumps(encode_table(table))
+        assert len(frame) <= 500_000  # the JSON integer-list form was 0.92 MB
+        assert decode_table(json.loads(frame)) == table
+
+
+def _categorical(spec: dict) -> dict:
+    return spec["columns"][0]
+
+
+def _truncate(spec):
+    _categorical(spec)["codes"] = _categorical(spec)["codes"][:-4]
+
+
+def _unknown_tag(spec):
+    _categorical(spec)["dtype"] = "<i8"
+
+
+def _not_base64(spec):
+    _categorical(spec)["codes"] = "not base64!"
+
+
+def _int_list(spec):
+    _categorical(spec)["codes"] = [0, 1, 0]
+
+
+def _rows_mismatch(spec):
+    spec["rows"] += 1
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        pytest.param(_truncate, id="truncated-payload"),
+        pytest.param(_unknown_tag, id="unknown-dtype-tag"),
+        pytest.param(_not_base64, id="non-base64-text"),
+        pytest.param(_int_list, id="non-string-payload"),
+        pytest.param(_rows_mismatch, id="rows-mismatch"),
+    ],
+)
+def test_table_defects_raise_snapshot_error(defect):
+    table = _mixed([0, 1, 0], ["a", "b"], [1.0, 2.0, 3.0])
+    spec = json.loads(json.dumps(encode_table(table)))
+    defect(spec)
+    with pytest.raises(SnapshotError):
+        decode_table(spec)
 
 
 # -- append errors are the same on every backend ------------------------------------

@@ -281,6 +281,42 @@ class TestServerDeadlines:
             assert bounded.stats()["deadline_aborts"] == 0
 
 
+# -- a spent deadline on either backend -------------------------------------------
+
+
+@pytest.fixture(params=["server", "router"])
+def backend(request, retail):
+    tier = DrillDownServer() if request.param == "server" else ShardRouter(1)
+    with tier:
+        tier.register_table("retail", retail)
+        yield tier
+
+
+class TestSpentDeadline:
+    """A budget spent before the request starts fails admission on both
+    backends; on the router the frame is never sent, so the healthy
+    worker is not condemned and its sessions survive."""
+
+    @pytest.mark.parametrize("verb", ["render", "tree", "expand", "collapse"])
+    def test_spent_deadline_neither_kills_nor_loses_the_session(self, backend, verb):
+        sid = backend.create_session("retail", k=3, mw=3.0)
+        backend.expand(sid)
+        expected = backend.render(sid)
+        rule = (backend.tree(sid).rule,) if verb in ("expand", "collapse") else ()
+        with pytest.raises(DeadlineExceededError):
+            getattr(backend, verb)(sid, *rule, deadline=-1.0)
+        assert getattr(backend, "restarts", 0) == 0
+        assert getattr(backend, "wedge_kills", 0) == 0
+        assert backend.deadline_aborts == 1
+        assert backend.render(sid) == expected
+
+    def test_session_columns_honours_a_spent_deadline(self, backend):
+        sid = backend.create_session("retail", k=3, mw=3.0)
+        with pytest.raises(DeadlineExceededError):
+            backend.session_columns(sid, deadline=-1.0)
+        assert backend.session_columns(sid) == backend.session_columns(sid, deadline=5.0)
+
+
 # -- multi-process router drills -------------------------------------------------
 
 

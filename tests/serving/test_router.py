@@ -504,6 +504,38 @@ class TestVersionedTables:
                 assert router.render(sid) == server.render(ssid)
 
     @pytest.mark.versioning
+    def test_replaced_table_matches_one_process_across_a_respawn(self, rng):
+        """A replacement table with a two-byte code column and a numeric
+        measure crosses the pipe packed, at ``replace_table`` and again
+        when a killed shard is re-registered: trees stay bit-identical
+        to one process."""
+        wide = Table.from_dict(
+            {
+                "Wide": [f"w{(i * 37) % 300}" for i in range(900)],
+                "Item": [("x", "y", "z")[i % 3] for i in range(900)],
+                "Sales": [(-0.0, 1.5, 2.25, 1e-310)[i % 4] for i in range(900)],
+            }
+        )
+        base = random_table(rng, n_rows=40, n_columns=3)
+        with ShardRouter(1) as router, DrillDownServer() as server:
+            for tier in (router, server):
+                tier.register_table("t", base)
+                assert tier.replace_table("t", wide)["version"] == 2
+
+            def explore(tier):
+                sid = tier.create_session("t", k=3, mw=3.0, measure="Sales")
+                tier.expand(sid)
+                return _wire_tree(tier.tree(sid)), tier.render(sid)
+
+            expected = explore(server)
+            assert explore(router) == expected
+            router._shards[0].process.kill()
+            with pytest.raises(ShardDownError):
+                router.create_session("t", k=3, mw=3.0)
+            assert router.restarts == 1
+            assert explore(router) == expected
+
+    @pytest.mark.versioning
     def test_orphaned_snapshots_counted_and_swept(self, tmp_path):
         """Satellite regression: snapshots under a ``shard-NN`` directory
         no current slot owns (a previous run used more shards) were
