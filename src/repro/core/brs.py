@@ -131,7 +131,7 @@ def brs_iter(
             result = context.find_best(top)
             if result is None:
                 return
-            rows = context.last_rows
+            rows = context.last_rows.astype(np.intp, copy=False)  # gathered twice
             top[rows] = np.maximum(top[rows], result.weight)
             yield result
 

@@ -102,6 +102,7 @@ def count_parent_extensions(
     if rows is None:
         t, m = top, measures
     else:
+        rows = rows.astype(np.intp, copy=False)  # np.take casts per call: cast once
         t = np.take(top, rows)
         m = None if measures is None else np.take(measures, rows)
     out: list = [None] * len(positions)

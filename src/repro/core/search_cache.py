@@ -106,6 +106,12 @@ __all__ = ["SearchContext"]
 # Candidate key, as in repro.core.marginal: ((cat_position, code), ...).
 _Key = tuple[tuple[int, int], ...]
 
+#: What :meth:`SearchContext.nbytes` charges per cached candidate: a
+#: clone's slotted ``_Candidate``, its dict slot and its heap slots (keys
+#: and row arrays are shared).  ``tracemalloc`` reads 172–181 bytes per
+#: candidate for a clone of a root lattice on retail, marketing and census.
+CANDIDATE_NBYTES = 180
+
 
 def _free_positions(
     wf: WeightFunction, cat_positions: Sequence[int], codes: Sequence[np.ndarray]
@@ -362,7 +368,7 @@ class SearchContext:
             pos, code = cand.key[-1]
             codes = self.codes[pos]
             if parent_rows.size == codes.size:  # trivial parent: avoid the gather
-                cand.rows = np.nonzero(codes == code)[0]
+                cand.rows = np.nonzero(codes == code)[0].astype(self._row_dtype, copy=False)
             else:
                 cand.rows = parent_rows[np.take(codes, parent_rows) == code]
             cand.parent_rows = None
@@ -665,6 +671,17 @@ class SearchContext:
         )
 
     # -- introspection ---------------------------------------------------------
+
+    def nbytes(self) -> int:
+        """Bytes this context holds: every distinct row array it references
+        (``rows`` and borrowed ``parent_rows``, each counted once, as clones
+        and siblings share them) plus :data:`CANDIDATE_NBYTES` per candidate."""
+        arrays = {}
+        for cand in self._cands.values():
+            for rows in (cand.rows, cand.parent_rows):
+                if rows is not None:
+                    arrays[id(rows)] = rows.nbytes
+        return sum(arrays.values()) + CANDIDATE_NBYTES * len(self._cands)
 
     @property
     def cached_candidates(self) -> int:

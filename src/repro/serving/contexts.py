@@ -25,6 +25,9 @@ participates by value (:meth:`~repro.core.weights.WeightFunction.key`),
 so tenants with equal weightings share.  Prototypes hold strong
 references to their table; :meth:`drop_table` releases everything for
 an unregistered table, and ``max_prototypes`` (LRU) bounds the store.
+``stats()["bytes"]`` is what the prototypes hold
+(:meth:`~repro.core.search_cache.SearchContext.nbytes`, taken once at
+publish and kept as a running total).
 Sharing never changes results — the equivalence is pinned by
 ``tests/serving/test_context_store.py``.
 """
@@ -49,8 +52,10 @@ class ContextStore:
 
     def __init__(self, *, max_prototypes: int | None = None):
         self._lock = threading.Lock()
-        self._prototypes: "OrderedDict[tuple, SearchContext]" = OrderedDict()
+        # key -> (frozen prototype, its nbytes() at publish)
+        self._prototypes: "OrderedDict[tuple, tuple[SearchContext, int]]" = OrderedDict()
         self.max_prototypes = max_prototypes
+        self._bytes = 0
         self.hits = 0
         self.misses = 0
         self.publishes = 0
@@ -69,15 +74,15 @@ class ContextStore:
         through it) never touches the prototype or any other lease.
         """
         with self._lock:
-            prototype = self._prototypes.get(self._key(table, tag))
-            if prototype is None:
+            entry = self._prototypes.get(self._key(table, tag))
+            if entry is None:
                 self.misses += 1
                 return None
             self._prototypes.move_to_end(self._key(table, tag))
             self.hits += 1
         # Prototypes are frozen (never searched), so cloning outside the
         # lock is safe even with concurrent leases.
-        return prototype.clone()
+        return entry[0].clone()
 
     def publish(self, table: Table, tag: tuple, context: SearchContext) -> bool:
         """Offer ``context`` as the prototype for ``(table, tag)``.
@@ -91,16 +96,18 @@ class ContextStore:
             if key in self._prototypes:
                 return False
         snapshot = context.clone()  # detached: fresh stats
+        nbytes = snapshot.nbytes()  # frozen, so this holds while it is stored
         with self._lock:
             if key in self._prototypes:  # lost a publish race: identical anyway
                 return False
-            self._prototypes[key] = snapshot
+            self._prototypes[key] = (snapshot, nbytes)
+            self._bytes += nbytes
             self.publishes += 1
             while (
                 self.max_prototypes is not None
                 and len(self._prototypes) > self.max_prototypes
             ):
-                self._prototypes.popitem(last=False)
+                self._bytes -= self._prototypes.popitem(last=False)[1][1]
         return True
 
     def drop_table(self, table: Table) -> int:
@@ -108,12 +115,13 @@ class ContextStore:
         with self._lock:
             doomed = [key for key in self._prototypes if key[0] == id(table)]
             for key in doomed:
-                del self._prototypes[key]
+                self._bytes -= self._prototypes.pop(key)[1]
             return len(doomed)
 
     def clear(self) -> None:
         with self._lock:
             self._prototypes.clear()
+            self._bytes = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -126,6 +134,7 @@ class ContextStore:
                 "hits": self.hits,
                 "misses": self.misses,
                 "publishes": self.publishes,
+                "bytes": self._bytes,
             }
 
     def __repr__(self) -> str:

@@ -77,6 +77,13 @@ PROBE_TIMEOUT = 5.0
 #: Base of the jittered exponential backoff between ``read_retries``.
 RETRY_BACKOFF = 0.05
 
+#: Pipe ops whose server verb takes ``deadline=``: they carry the
+#: remaining budget to the shard, whose server applies it.
+_BUDGETED_OPS = frozenset(
+    ("create_session", "expand", "expand_star", "expand_traditional", "collapse",
+     "render", "tree")
+)
+
 
 def _stable_hash(key: str) -> int:
     """64-bit stable hash (``hash()`` is salted per process — useless
@@ -119,7 +126,8 @@ class ShardRouter:
         pending on disk — skipped, never corrupted.)
     default_deadline:
         Per-request deadline (seconds) applied when the caller passes
-        none.  Bounds lock wait + pipe wait on every data-plane op;
+        none.  Bounds the lock wait on every data-plane op; session
+        verbs carry the rest to the shard's server (see :meth:`_request`);
         control-plane ops (table registration's warm restore,
         checkpointing, reaping) are exempt.  ``None`` (default) keeps
         requests unbounded.
@@ -129,9 +137,9 @@ class ShardRouter:
         (default) runs no watchdog (tests call ``probe_shards``
         directly).
     wedge_timeout:
-        Seconds a shard may sit busy on one request before the watchdog
-        declares it wedged and kills it (a health ``ping`` may take
-        :data:`PROBE_TIMEOUT`).
+        Seconds a shard may sit busy on one request before the watchdog,
+        or a request with a deadline waiting on it, declares it wedged
+        and kills it (a health ``ping`` may take :data:`PROBE_TIMEOUT`).
     breaker_threshold, breaker_cooldown:
         Per-shard circuit breaker: consecutive transport failures
         before the circuit opens, and seconds it stays open before
@@ -456,8 +464,13 @@ class ShardRouter:
           :class:`~repro.errors.DeadlineExceededError`, breaker *not*
           charged and the worker left alone — saturation is not
           sickness;
-        * shard wedged past the deadline (request sent, no reply) →
-          kill + restart, then ``DeadlineExceededError``;
+        * shard wedged (request sent, no reply) → kill + restart, then
+          ``DeadlineExceededError``.  A verb of :data:`_BUDGETED_OPS`
+          carries its remaining budget to the shard's own server, which
+          applies the in-process rule (bounded admission and lock wait,
+          then mining runs to the end), so its reply is awaited past the
+          deadline, for up to ``wedge_timeout``.  Any other op, or one a
+          chaos rule may hold back, is wedged at the deadline;
         * typed application error from the shard → breaker *success*
           (the pipe answered; the worker is healthy) and re-raise;
         * broken pipe / EOF → restart, then
@@ -474,8 +487,12 @@ class ShardRouter:
             deadline = self._default_deadline
         with self._lock:
             generation = self._generations[shard.index]
+        budgeted = op in _BUDGETED_OPS and not shard.withholds_reply(op)
         try:
-            result = shard.request(op, args, timeout=deadline)
+            result = shard.request(
+                op, args, timeout=deadline,
+                wedge_timeout=self._wedge_timeout if budgeted else None,
+            )
         except ShardBusyError as exc:
             # The deadline ran out before the frame was sent (the
             # request lock stayed held, or the budget came in spent):
@@ -495,13 +512,14 @@ class ShardRouter:
             self.wedge_kills += 1
             self._recover_slot(shard, generation, wedged=True)
             raise DeadlineExceededError(
-                f"shard {shard.index} did not answer {op!r} within the "
-                f"{deadline}s deadline; the wedged worker was killed and "
-                "restarted (snapshotted sessions warm-restored)",
+                f"{exc}; the wedged worker was killed and restarted "
+                "(snapshotted sessions warm-restored)",
                 retry_after=1.0,
             ) from exc
-        except ReproError:
+        except ReproError as exc:
             breaker.record_success()  # the pipe answered — shard is healthy
+            if isinstance(exc, DeadlineExceededError):
+                self.deadline_aborts += 1  # the shard's server spent the budget
             raise
         except (OSError, EOFError) as exc:
             breaker.record_failure()

@@ -405,6 +405,8 @@ class ShardProcess:
         #: entered the pipe — the watchdog's wedge heuristic for
         #: deadline-less traffic.  Plain attribute; racy reads are fine.
         self.busy_since: float | None = None
+        #: The chaos policy last installed worker-side (see :meth:`withholds_reply`).
+        self.chaos: ChaosPolicy | None = None
         # First contact doubles as the startup barrier: a worker whose
         # server constructor raised a typed error answers with it; one
         # that died otherwise EOFs the recv instead of hanging.
@@ -418,7 +420,8 @@ class ShardProcess:
 
     # -- request/response --------------------------------------------------------
 
-    def request(self, op: str, args: dict | None = None, *, timeout: float | None = None):
+    def request(self, op: str, args: dict | None = None, *, timeout: float | None = None,
+                wedge_timeout: float | None = None):
         """One request/response round trip; returns the ``result``.
 
         Raises the shard's typed error when the operation failed and
@@ -434,6 +437,13 @@ class ShardProcess:
           the handle is **condemned** — a late reply would desync the
           request/response stream, so the worker must be killed and
           replaced (the router's recovery spine does both).
+
+        With ``timeout`` and ``wedge_timeout`` both given (an op whose
+        server verb takes ``deadline=``), what is left of ``timeout``
+        travels in the frame as ``args["deadline"]``, and the reply is
+        awaited for ``wedge_timeout`` instead: the worker's server bounds
+        admission and its lock wait by the budget and then finishes the
+        work it started, so only a worker stuck that long is condemned.
         """
         # repro-lint: allow[clock-discipline] reason=pipe deadlines bound real OS waits (lock timeout, poll); no test seam crosses the process boundary
         deadline_at = None if timeout is None else time.monotonic() + max(0.0, timeout)
@@ -459,21 +469,27 @@ class ShardProcess:
                     f"shard {self.index}: the {timeout}s deadline for {op!r} "
                     "was spent before the request could be sent"
                 )
+            budgeted = deadline_at is not None and wedge_timeout is not None
+            if budgeted:
+                # repro-lint: allow[clock-discipline] reason=pipe deadlines bound real OS waits (lock timeout, poll); no test seam crosses the process boundary
+                args = {**(args or {}), "deadline": deadline_at - time.monotonic()}
             # repro-lint: allow[clock-discipline] reason=busy_since feeds the watchdog's real-time wedge clock across threads
             self.busy_since = time.monotonic()
+            wait_until = self.busy_since + wedge_timeout if budgeted else deadline_at
             self._next_request += 1
             request_id = self._next_request
             frame = json.dumps(
                 {"id": request_id, "op": op, "args": args or {}}, default=str
             ).encode("utf-8")
             self.conn.send_bytes(frame)
-            if deadline_at is not None and not self.conn.poll(
+            if wait_until is not None and not self.conn.poll(
                 # repro-lint: allow[clock-discipline] reason=pipe deadlines bound real OS waits (lock timeout, poll); no test seam crosses the process boundary
-                max(0.0, deadline_at - time.monotonic())
+                max(0.0, wait_until - time.monotonic())
             ):
                 self.condemned = True
                 raise ShardWedgedError(
-                    f"shard {self.index} did not answer {op!r} within {timeout}s"
+                    f"shard {self.index} did not answer {op!r} within "
+                    f"{wedge_timeout if budgeted else timeout}s"
                 )
             raw = self.conn.recv_bytes()
         finally:
@@ -495,7 +511,17 @@ class ShardProcess:
         fault injection; returns the number of active rules."""
         payload = {"rules": []} if policy is None else policy.encode()
         result = self.request("chaos", payload)
+        self.chaos = policy
         return int(result["rules"])
+
+    def withholds_reply(self, op: str) -> bool:
+        """Whether an installed chaos rule may hold back ``op``'s reply
+        (``wedge``, ``delay`` or ``drop_reply``): then a reply missing at
+        the caller's deadline is injected, not a slow op finishing."""
+        return self.chaos is not None and any(
+            rule.kind in ("wedge", "delay", "drop_reply") and rule.op in ("*", op)
+            for rule in self.chaos.rules
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 

@@ -9,6 +9,9 @@ bounds the store.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -157,7 +160,10 @@ class TestStore:
         leased = store.lease(retail, tag)
         assert leased is not None and leased is not context
         assert leased.source is retail and leased.tag == tag
-        assert store.stats() == {"prototypes": 1, "hits": 1, "misses": 1, "publishes": 1}
+        assert store.stats() == {
+            "prototypes": 1, "hits": 1, "misses": 1, "publishes": 1,
+            "bytes": leased.nbytes(),
+        }
 
     def test_publish_first_writer_wins(self, retail, wf):
         store = ContextStore()
@@ -194,6 +200,77 @@ class TestStore:
             store.publish(retail, tag, SearchContext(retail, wf, m))
         assert len(store) == 2
         assert store.lease(retail, tags[0]) is None  # oldest evicted
+
+
+class TestByteAccounting:
+    """``stats()["bytes"]``: each prototype's ``nbytes()``, taken at publish."""
+
+    def _published(self, store, table, wf, mw=3.0, k=3):
+        context = SearchContext(table, wf, mw)
+        brs(table, wf, k, mw, context=context)
+        store.publish(table, _tag(wf, mw), context)
+        return context
+
+    def test_publish_lease_drop(self, retail, wf):
+        store = ContextStore()
+        context = self._published(store, retail, wf, k=1)
+        held = store.stats()["bytes"]
+        assert held == context.clone().nbytes() > 0
+        # A lease, even one that searches further, adds nothing.
+        leased = store.lease(retail, _tag(wf))
+        brs(retail, wf, 6, 3.0, context=leased)
+        assert leased.nbytes() > held
+        assert store.stats()["bytes"] == held
+        assert store.drop_table(retail) == 1
+        assert store.stats()["bytes"] == 0
+
+    def test_eviction_and_clear_subtract(self, retail, tiny_table, wf):
+        store = ContextStore(max_prototypes=1)
+        self._published(store, retail, wf)
+        small = self._published(store, tiny_table, wf)  # evicts retail's
+        assert store.stats()["bytes"] == small.clone().nbytes()
+        store.clear()
+        assert store.stats()["bytes"] == 0
+
+    def test_concurrent_publish_evict_drop_keep_the_total(self, retail, tiny_table, wf):
+        built = [
+            (table, mw, SearchContext(table, wf, mw))
+            for table in (retail, tiny_table) for mw in (2.0, 3.0, 4.0)
+        ]
+        for table, mw, context in built:
+            brs(table, wf, 2, mw, context=context)
+        store = ContextStore(max_prototypes=4)
+
+        def worker(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            for _ in range(40):
+                table, mw, context = built[rng.integers(len(built))]
+                if rng.random() < 0.2:
+                    store.drop_table(table)
+                else:
+                    store.publish(table, _tag(wf, mw), context)
+                    store.lease(table, _tag(wf, mw))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        held = [entry[0] for entry in store._prototypes.values()]
+        assert store.stats()["bytes"] == sum(p.nbytes() for p in held)
+
+    def test_lost_publish_adds_nothing(self, retail, wf):
+        store = ContextStore()
+        self._published(store, retail, wf)
+        held = store.stats()["bytes"]
+        self._published(store, retail, wf)
+        assert store.stats()["bytes"] == held
 
 
 class TestSessionIntegration:

@@ -317,6 +317,32 @@ class TestSpentDeadline:
         assert backend.session_columns(sid) == backend.session_columns(sid, deadline=5.0)
 
 
+class TestShortDeadline:
+    """A positive budget shorter than one expansion.  Either backend
+    bounds admission and the session-lock wait by it and lets started
+    mining finish; on the router the shard's own server applies it, so
+    the healthy worker is neither condemned nor restarted."""
+
+    def test_expand_answers_as_in_process_and_the_shard_lives(self, backend, retail):
+        with DrillDownServer() as reference:
+            reference.register_table("retail", retail)
+            ref = reference.create_session("retail", k=3, mw=3.0)
+            expected = reference.expand(ref)
+            expanded = reference.render(ref)
+        sid = backend.create_session("retail", k=3, mw=3.0)
+        before = backend.render(sid)
+        try:
+            children = backend.expand(sid, deadline=0.0005)
+        except DeadlineExceededError:  # the budget ran out before mining started
+            assert backend.deadline_aborts == 1
+            assert backend.render(sid) == before
+        else:
+            assert children == expected
+            assert backend.render(sid) == expanded
+        assert getattr(backend, "restarts", 0) == 0
+        assert getattr(backend, "wedge_kills", 0) == 0
+
+
 # -- multi-process router drills -------------------------------------------------
 
 
